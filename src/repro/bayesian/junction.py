@@ -257,16 +257,24 @@ class JunctionTree:
     def _clique_cpd_product_batch(
         self, idx: int, overrides: Mapping[str, Sequence[TabularCPD]], k: int
     ) -> np.ndarray:
-        """Batched clique-``idx`` CPD product: a ``(K, *clique_shape)``
-        stack whose slice ``k`` is bitwise-identical to what
+        """Batched clique-``idx`` CPD product, ready for
+        :meth:`PropagationEngine.set_potential_batch`.
+
+        For a dense clique this is a ``(K, *clique_shape)`` stack whose
+        slice ``k`` is bitwise-identical to what
         :meth:`_clique_cpd_product` would compute with scenario ``k``'s
-        CPDs swapped in.
+        CPDs swapped in.  For a clique the schedule packs it is the
+        packed ``(K, nnz)`` stack: the same entries at the support
+        coordinates ``sp.flat_idx``, built without the dense table.
 
         Bitwise equality holds because the fold order is planned with a
         *per-scenario* size key (a stacked factor counts as its
         unbatched size), so the batched fold multiplies the same factors
         in the same order as any single scenario's fold, and every
-        multiply is elementwise over broadcast views.
+        multiply is elementwise over broadcast views.  The packed fold
+        gathers each factor at the support coordinates first and then
+        runs the same left fold, so every kept entry is the same chain
+        of IEEE multiplies over the same operands.
         """
         order = tuple(sorted(self.cliques[idx]))
         shape = tuple(self._cardinalities[v] for v in order)
@@ -277,10 +285,10 @@ class JunctionTree:
             if cpds is None:
                 factors.append(self._bn.cpd(node).to_factor())
             else:
+                # update_cpds_batch holds every scenario to scenario 0's
+                # parents, so all K tables share one axis order.
                 first = cpds[0].to_factor()
-                stacked = np.stack(
-                    [c.to_factor().permute(first.variables).values for c in cpds]
-                )
+                stacked = np.stack([c.to_factor().values for c in cpds])
                 factors.append(
                     Factor._unsafe((_BATCH_AXIS,) + first.variables, stacked)
                 )
@@ -289,10 +297,29 @@ class JunctionTree:
             return factor.size // k if _BATCH_AXIS in factor else factor.size
 
         keep = plan_product(factors, size_key=per_scenario_size)
+        batched = any(_BATCH_AXIS in factor for factor in keep)
+        sp = self._ensure_schedule().sparse_cliques.get(idx)
+        if sp is not None:
+            coords = dict(zip(order, np.unravel_index(sp.flat_idx, shape)))
+
+            def gather(factor: Factor) -> np.ndarray:
+                # A stacked factor's batch axis leads; keep it whole.
+                index = tuple(
+                    slice(None) if v == _BATCH_AXIS else coords[v]
+                    for v in factor.variables
+                )
+                return factor.values[index]
+
+            packed = gather(keep[0])
+            for factor in keep[1:]:
+                packed = packed * gather(factor)
+            if batched:
+                return packed
+            return np.broadcast_to(packed, (k, sp.nnz))
         result = keep[0]
         for factor in keep[1:]:
             result = result.product(factor)
-        if _BATCH_AXIS in result:
+        if batched:
             return result.permute((_BATCH_AXIS,) + order).values
         # Every scenario's table is identical (all overrides were
         # identities); broadcast the shared table over the batch axis.

@@ -836,25 +836,32 @@ class PropagationEngine:
     def set_potential_batch(self, idx: int, values: np.ndarray) -> None:
         """Install per-scenario potentials for clique ``idx``.
 
-        ``values`` must be a ``(K, *clique_shape)`` stack in the
-        clique's canonical (sorted) variable order; scenario ``k``'s
-        table is ``values[k]``.  Only valid on a batched engine.  The
-        same skip-if-unchanged rule as :meth:`set_potential` applies.
+        ``values`` is a ``(K, *clique_shape)`` stack in the clique's
+        canonical (sorted) variable order; scenario ``k``'s table is
+        ``values[k]``.  On a clique the schedule packs, ``values`` may
+        instead be the packed ``(K, nnz)`` stack (the entries at
+        ``sparse_cliques[idx].flat_idx``, in packed order), which is
+        installed as-is; a dense stack is packed here.  Only valid on a
+        batched engine.  The same skip-if-unchanged rule as
+        :meth:`set_potential` applies.
         """
         if self.batch_size is None:
             raise RuntimeError("set_potential_batch requires a batched engine")
         values = np.asarray(values, dtype=self.dtype)
         expected = (self.batch_size,) + self.schedule.shapes[idx]
-        if values.shape != expected:
+        sp = self.schedule.sparse_cliques.get(idx)
+        packed = None if sp is None else (self.batch_size, sp.nnz)
+        if values.shape == expected:
+            if sp is not None:
+                # Same silent out-of-support drop as set_potential
+                # (exact; see the comment there).
+                values = values.reshape(self.batch_size, -1)[:, sp.flat_idx]
+        elif values.shape != packed:
+            also = "" if packed is None else f" or packed {packed}"
             raise ValueError(
                 f"batched potential for clique {idx} has shape {values.shape}, "
-                f"expected {expected}"
+                f"expected {expected}{also}"
             )
-        sp = self.schedule.sparse_cliques.get(idx)
-        if sp is not None:
-            # Same silent out-of-support drop as set_potential (exact;
-            # see the comment there).
-            values = values.reshape(self.batch_size, -1)[:, sp.flat_idx]
         self._install_psi(idx, values)
 
     def _install_psi(self, idx: int, values: np.ndarray) -> None:

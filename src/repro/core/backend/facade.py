@@ -44,7 +44,7 @@ from repro.core.backend.cache import CompileCache, compile_fingerprint
 from repro.core.backend.registry import get_backend
 from repro.core.inputs import IndependentInputs, InputModel
 from repro.core.rcache import ResultCache, scenario_digest
-from repro.core.validate import validate as validate_pass
+from repro.core.validate import validate_circuit, validate_input_model
 from repro.errors import CompileError, FallbackExhausted, PropagationError
 from repro.obs.metrics import get_metrics
 from repro.obs.trace import get_tracer
@@ -166,6 +166,16 @@ def _supported_options(backend_name: str, options: dict) -> dict:
     ):
         return options
     return {k: v for k, v in options.items() if k in sig.parameters}
+
+
+def validate_pass(circuit: Circuit, *models: Optional[InputModel]) -> None:
+    """Run the structural circuit checks once, then check each given
+    input model against the circuit (``None`` entries are skipped).  A
+    sweep pays one circuit pass, not one per scenario."""
+    validate_circuit(circuit)
+    for model in models:
+        if model is not None:
+            validate_input_model(circuit, model)
 
 
 def compile_model(
@@ -358,8 +368,7 @@ def estimate_many(
         return []
     first = models[0]
     if validate:
-        for model in models:
-            validate_pass(circuit, model)
+        validate_pass(circuit, *models)
     rcache_obj = resolve_result_cache(result_cache)
     keys = None
     hits: dict = {}

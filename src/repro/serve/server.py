@@ -520,7 +520,17 @@ def _make_handler(server: EstimationServer):
             self.wfile.write(body)
 
         def _body(self) -> Dict[str, Any]:
-            length = int(self.headers.get("Content-Length") or 0)
+            header = self.headers.get("Content-Length") or "0"
+            try:
+                length = int(header)
+            except ValueError:
+                length = -1
+            if length < 0:
+                # The body's extent is unknown, so the connection cannot
+                # be reused; reading with a negative length would block
+                # until the client hangs up.
+                self.close_connection = True
+                raise ReproError(f"invalid Content-Length {header!r}")
             raw = self.rfile.read(length) if length else b"{}"
             try:
                 return json.loads(raw.decode() or "{}")

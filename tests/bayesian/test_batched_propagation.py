@@ -15,6 +15,8 @@ import pytest
 
 from repro.bayesian import BayesianNetwork, JunctionTree, TabularCPD
 from repro.bayesian.propagation import PropagationEngine
+from repro.circuits import suite
+from repro.core import SwitchingActivityEstimator
 from repro.errors import ZeroBeliefError
 
 from tests.bayesian.util import random_bn, sprinkler_bn
@@ -175,3 +177,64 @@ class TestSkipUnchangedPotential:
         assert engine.counters.cliques_repropagated == reprop
         assert engine.counters.cliques_skipped == skipped
         assert engine.counters.potentials_unchanged >= 1
+
+
+class TestPackedBatchInstall:
+    """``set_potential_batch`` takes packed ``(K, nnz)`` stacks on packed
+    cliques and dense ``(K, *shape)`` stacks everywhere."""
+
+    K = 3
+
+    @pytest.fixture(scope="class")
+    def schedule(self):
+        # pcler8 under kernel="auto" mixes packed and dense cliques.
+        est = SwitchingActivityEstimator(suite.load_circuit("pcler8")).compile()
+        schedule = est.junction_tree._ensure_schedule()
+        assert schedule.sparse_cliques and not all(schedule.sparse)
+        return schedule
+
+    def _packed_clique(self, schedule):
+        idx, sp = next(iter(schedule.sparse_cliques.items()))
+        dense = np.random.default_rng(idx).random((self.K,) + schedule.shapes[idx])
+        return idx, sp, dense
+
+    def test_packed_stack_installs_like_a_dense_stack(self, schedule):
+        idx, sp, dense = self._packed_clique(schedule)
+        from_dense = PropagationEngine(schedule, batch_size=self.K)
+        from_dense.set_potential_batch(idx, dense)
+        from_packed = PropagationEngine(schedule, batch_size=self.K)
+        from_packed.set_potential_batch(
+            idx, dense.reshape(self.K, -1)[:, sp.flat_idx]
+        )
+        assert from_packed._psi[idx].shape == (self.K, sp.nnz)
+        assert np.array_equal(from_packed._psi[idx], from_dense._psi[idx])
+        assert idx in from_packed.dirty
+
+    def test_packed_stack_on_a_dense_clique_raises(self, schedule):
+        idx = next(
+            i
+            for i in range(schedule.n_cliques)
+            if not schedule.sparse[i]
+            and schedule.support_nnz[i] < schedule.sizes[i]
+        )
+        engine = PropagationEngine(schedule, batch_size=self.K)
+        with pytest.raises(ValueError, match="expected"):
+            engine.set_potential_batch(
+                idx, np.ones((self.K, schedule.support_nnz[idx]))
+            )
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_wrong_nnz_raises(self, schedule, delta):
+        idx, sp, _ = self._packed_clique(schedule)
+        engine = PropagationEngine(schedule, batch_size=self.K)
+        with pytest.raises(ValueError, match="packed"):
+            engine.set_potential_batch(idx, np.ones((self.K, sp.nnz + delta)))
+
+    def test_reinstalling_a_packed_stack_counts_unchanged(self, schedule):
+        idx, sp, dense = self._packed_clique(schedule)
+        packed = dense.reshape(self.K, -1)[:, sp.flat_idx]
+        engine = PropagationEngine(schedule, batch_size=self.K)
+        engine.set_potential_batch(idx, packed)
+        assert engine.counters.potentials_unchanged == 0
+        engine.set_potential_batch(idx, packed.copy())
+        assert engine.counters.potentials_unchanged == 1

@@ -14,9 +14,13 @@ import numpy as np
 import pytest
 
 from repro.circuits.examples import c17
-from repro.core.backend import compile_model
+from repro.circuits.gates import GateType
+from repro.circuits.netlist import Gate
+from repro.core.backend import compile_model, facade
 from repro.core.backend.facade import estimate_many
 from repro.core.inputs import IndependentInputs, TemporalInputs
+from repro.core.segments import FixedMarginalInputs
+from repro.errors import CombinationalCycleError, InputModelError
 
 #: (backend, compile options) -> one compiled model per test.  The
 #: segmented entry forces multiple segments on c17 (6 gates) so the
@@ -180,6 +184,32 @@ class TestFacade:
         # when the model itself tolerates it) before any compile work.
         with pytest.raises(ValueError):
             estimate_many(c17(), [IndependentInputs(1.5)])
+
+    def test_estimate_many_checks_the_circuit_once(self, monkeypatch):
+        calls = []
+        real = facade.validate_circuit
+        monkeypatch.setattr(
+            facade, "validate_circuit", lambda c: calls.append(c) or real(c)
+        )
+        estimate_many(c17(), _models(6), backend="junction-tree")
+        assert len(calls) == 1
+
+    def test_estimate_many_rejects_a_bad_scenario_mid_sweep(self):
+        circuit = c17()
+        models = _models(8)
+        models[5] = FixedMarginalInputs(
+            {name: np.full(4, 0.25) for name in circuit.inputs[:-1]}
+        )
+        with pytest.raises(InputModelError, match="no statistics"):
+            estimate_many(circuit, models, backend="junction-tree")
+
+    def test_estimate_many_rejects_a_mutated_cycle(self):
+        circuit = c17()
+        first, second = list(circuit.gates)[:2]
+        circuit.gates[first] = Gate(first, GateType.NAND, ["1", second])
+        circuit.gates[second] = Gate(second, GateType.NAND, ["1", first])
+        with pytest.raises(CombinationalCycleError):
+            estimate_many(circuit, _models(3), backend="junction-tree")
 
     def test_estimate_many_is_importable_from_repro(self):
         import repro

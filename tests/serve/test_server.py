@@ -6,6 +6,9 @@ that JSON float round-tripping is exact (``json`` emits ``repr``
 floats, which round-trip float64 exactly).
 """
 
+import socket
+from urllib.parse import urlsplit
+
 import numpy as np
 import pytest
 
@@ -125,6 +128,36 @@ class TestErrors:
         response = connection.getresponse()
         response.read()
         assert response.status == 400
+
+
+class TestContentLength:
+    """A bad ``Content-Length`` is a typed 400, never a 500 or a hang."""
+
+    @staticmethod
+    def _post_raw(server, length: str) -> bytes:
+        url = urlsplit(server.address)
+        with socket.create_connection((url.hostname, url.port), timeout=10) as sock:
+            sock.sendall(
+                b"POST /estimate HTTP/1.1\r\nHost: test\r\n"
+                b"Content-Type: application/json\r\n"
+                + f"Content-Length: {length}\r\n\r\n".encode()
+            )
+            # The server closes the connection after the error, so
+            # reading to EOF returns the whole response; a server that
+            # waited for a body would trip the socket timeout instead.
+            chunks = []
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    return b"".join(chunks)
+                chunks.append(chunk)
+
+    @pytest.mark.parametrize("length", ["abc", "-1"])
+    def test_bad_content_length_is_400(self, server, length):
+        response = self._post_raw(server, length)
+        status_line, _, rest = response.partition(b"\r\n")
+        assert status_line.split()[1] == b"400"
+        assert b"ReproError" in rest and b"Content-Length" in rest
 
 
 class TestMetrics:

@@ -19,6 +19,7 @@ Plus the observability/CI satellites: ``support_stats`` /
 gate's exit codes.
 """
 
+import copy
 import importlib.util
 import json
 import subprocess
@@ -35,6 +36,7 @@ from repro.circuits import suite
 from repro.core import IndependentInputs, SwitchingActivityEstimator
 from repro.core.backend import estimate_many
 from repro.core.estimator import exact_switching_by_enumeration
+from repro.core.inputs import CorrelatedGroupInputs
 from repro.testing import input_model_from_json, input_model_to_json, make_case
 
 BENCH_DIFF = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_diff.py"
@@ -125,6 +127,109 @@ class TestParity:
                 np.testing.assert_allclose(
                     a.distributions[line], dist, atol=1e-5, rtol=0
                 )
+
+
+#: the unpatched method; the spy below records calls to it
+_PRODUCT_BATCH = JunctionTree._clique_cpd_product_batch
+
+
+def _dense_then_gather(jt, idx, overrides, k):
+    """The install before packing: the dense ``(K, *shape)`` product of
+    clique ``idx``, gathered at the packed support."""
+    twin = copy.copy(jt)
+    twin._schedule = copy.copy(jt._schedule)
+    twin._schedule.sparse_cliques = {}
+    dense = _PRODUCT_BATCH(twin, idx, overrides, k)
+    assert dense.shape == (k,) + jt._schedule.shapes[idx]
+    return dense.reshape(k, -1)[:, jt._schedule.sparse_cliques[idx].flat_idx]
+
+
+@pytest.fixture
+def product_calls(monkeypatch):
+    """Every batched clique product built while the test runs, as
+    ``(jt, idx, overrides, k, result)``."""
+    calls = []
+
+    def spy(self, idx, overrides, k):
+        result = _PRODUCT_BATCH(self, idx, overrides, k)
+        calls.append((self, idx, overrides, k, result))
+        return result
+
+    monkeypatch.setattr(JunctionTree, "_clique_cpd_product_batch", spy)
+    return calls
+
+
+def _sweep_models(k):
+    return [IndependentInputs(0.05 + 0.9 * ((i * 0.618) % 1.0)) for i in range(k)]
+
+
+class TestPackedInstall:
+    """Packed cliques get their potentials built on the support, and
+    every packed install equals dense-then-gather bitwise."""
+
+    @staticmethod
+    def _assert_packed_installs(calls, dtype=np.float64):
+        installed = {}
+        for jt, idx, overrides, k, result in calls:
+            sp = jt._schedule.sparse_cliques.get(idx)
+            if sp is None:
+                continue
+            assert result.shape == (k, sp.nnz)
+            expect = _dense_then_gather(jt, idx, overrides, k)
+            assert result.tobytes() == expect.tobytes()
+            installed[(id(jt), idx)] = (jt, idx, expect)
+        # The engine holds the last install of each clique, cast to the
+        # batch dtype after packing.
+        for jt, idx, expect in installed.values():
+            psi = jt._batch_engine._psi[idx]
+            assert psi.dtype == dtype
+            assert psi.tobytes() == expect.astype(dtype).tobytes()
+        return len(installed)
+
+    @pytest.mark.parametrize("k", [1, 3, 64])
+    def test_alu_auto_matches_dense_then_gather(self, product_calls, k):
+        estimate_many(suite.load_circuit("alu"), _sweep_models(k), backend="auto")
+        assert self._assert_packed_installs(product_calls) > 0
+
+    @pytest.mark.parametrize("k", [1, 3, 64])
+    def test_sparse_kernel_matches_dense_then_gather(self, product_calls, k):
+        # Correlated inputs stack multi-variable CPDs (input plus its
+        # in-group predecessor) on the batch axis.
+        circuit = suite.load_circuit("c17")
+        models = [
+            CorrelatedGroupInputs(
+                [circuit.inputs[:3]], rho=0.2 + 0.15 * (i % 5), base=base
+            )
+            for i, base in enumerate(_sweep_models(k))
+        ]
+        estimate_many(circuit, models, backend="junction-tree", kernel="sparse")
+        assert self._assert_packed_installs(product_calls) > 0
+
+    def test_float32_installs_the_cast_packed_product(self, product_calls):
+        estimate_many(
+            suite.load_circuit("alu"),
+            _sweep_models(3),
+            backend="auto",
+            dtype="float32",
+        )
+        assert self._assert_packed_installs(product_calls, np.float32) > 0
+
+    def test_shared_product_broadcasts_over_the_batch(self):
+        est = SwitchingActivityEstimator(
+            suite.load_circuit("c17"), kernel="sparse"
+        ).compile()
+        jt = est.junction_tree
+        schedule = jt._ensure_schedule()
+        assert schedule.sparse_cliques
+        for idx, sp in schedule.sparse_cliques.items():
+            # With no stacked factor in the fold (no overrides, or only
+            # all-ones ones, which the plan drops) every scenario shares
+            # one packed table, broadcast over the batch axis.
+            result = jt._clique_cpd_product_batch(idx, {}, 4)
+            assert result.shape == (4, sp.nnz)
+            assert result.strides[0] == 0
+            expect = _dense_then_gather(jt, idx, {}, 4)
+            assert result.tobytes() == expect.tobytes()
 
 
 class TestInvalidation:
