@@ -1,6 +1,6 @@
-"""Multi-scenario sweep throughput: batched vs. looped vs. delta.
+"""Multi-scenario sweep throughput: batched vs. looped vs. dedup.
 
-Emits ``BENCH_throughput.json`` (schema version 3).  PR 5's tentpole
+Emits ``BENCH_throughput.json`` (schema version 4).  PR 5's tentpole
 claim is that K input-statistics queries against one compiled model
 should cost one batched einsum pass, not K sequential propagations;
 this runner measures exactly that ratio:
@@ -17,23 +17,23 @@ this runner measures exactly that ratio:
   a pure function of the potentials, so equality is exact, not
   approximate).
 
-Schema version 3 adds one ``"sweep": "delta"`` row per circuit at the
-largest configured K: a *low-Hamming sorted* sweep (every request
-perturbs only the first primary input's statistics, and each of the
-K/4 operating points is re-evaluated four times -- the synthesis-loop
-what-if shape) run through ``sweep_mode="delta"`` -- the dedup +
-incremental CPD-update chain -- against the same sweep run as a fresh
-batched pass.  Delta rows carry:
+Schema version 4 carries one ``"sweep": "dedup"`` row per circuit at
+the largest configured K (schema 3's ``"delta"`` rows, same workload):
+a *low-Hamming sorted* sweep (every request perturbs only the first
+primary input's statistics, and each of the K/4 operating points is
+re-evaluated four times -- the synthesis-loop what-if shape) through
+``query_many``, which propagates each distinct scenario once, against
+the estimator's full batched pass over all K scenarios
+(``estimator.estimate_many``, no dedup).  Dedup rows carry:
 
 - ``batched_scenarios_per_sec`` -- the row's canonical rate metric
-  (scenarios/sec through the delta chain; the ``sweep`` tag in the
-  row key keeps it from colliding with plain batched rows),
-- ``fresh_batched_scenarios_per_sec`` / ``delta_speedup`` -- the
-  fresh batched pass on the identical sweep and the ratio,
-- ``bitwise_equal`` -- delta results vs. a *fresh-compile* batched
-  oracle, exact equality (the delta chain restarts propagation from
-  reset potentials, so its marginals are bit-identical to a fresh
-  pass by construction).
+  (scenarios/sec through ``query_many``; the ``sweep`` tag in the row
+  key keeps it from colliding with plain batched rows),
+- ``fresh_batched_scenarios_per_sec`` / ``dedup_speedup`` -- the full
+  batched pass on the identical sweep and the ratio,
+- ``bitwise_equal`` -- dedup results vs. a *fresh-compile* full
+  batched oracle, exact equality (batch rows never interact, so a
+  representative's row is the row each duplicate would have computed).
 
 Each timing repeat uses a *different* deterministic scenario set so
 the skip-unchanged-potential fast path never turns a repeat into a
@@ -97,8 +97,10 @@ DEFAULT_BATCH_SIZES = [1, 8, 64, 256]
 #: Bump when the emitted JSON shape changes (v2: kernel-aware
 #: compiles; rows carry ``kernel``, ``support_density`` and
 #: ``sparse_cliques`` from the compile-time support analysis.
-#: v3: low-Hamming ``"sweep": "delta"`` rows with ``delta_speedup``).
-BENCH_SCHEMA_VERSION = 3
+#: v3: low-Hamming ``"sweep": "delta"`` rows with ``delta_speedup``;
+#: v4: those rows become ``"sweep": "dedup"`` rows with
+#: ``dedup_speedup``, dedup-then-batch vs. the full batched pass).
+BENCH_SCHEMA_VERSION = 4
 
 
 def _loop_sweep(estimator, models) -> None:
@@ -107,7 +109,7 @@ def _loop_sweep(estimator, models) -> None:
         estimator.estimate()
 
 
-#: golden-ratio increment for the delta sweep's perturbed input
+#: golden-ratio increment for the dedup sweep's perturbed input
 _PHI = 0.6180339887498949
 
 
@@ -115,14 +117,13 @@ def delta_scenarios(circuit, k: int, salt: int, distinct: int = 0):
     """``k`` requests sweeping the *first* primary input, sorted, with
     each operating point re-evaluated ``k // distinct`` times.
 
-    This is the skewed sweep-traffic shape the delta planner exists
-    for (a synthesis loop scoring many candidates against few stimulus
+    This is the skewed sweep-traffic shape dedup exists for (a
+    synthesis loop scoring many candidates against few stimulus
     models): every scenario holds all inputs at the 0.5 default except
     ``circuit.inputs[0]``, whose ``p_one`` steps through ``distinct``
-    (default ``k // 4``) sorted low-discrepancy values -- so
-    consecutive requests are Hamming distance <= 1 apart in changed
-    input CPDs, and exact repeats collapse in the planner's dedup
-    stage while the fresh batched baseline propagates all ``k``.
+    (default ``k // 4``) sorted low-discrepancy values -- so exact
+    repeats collapse in ``query_many``'s dedup while the full batched
+    baseline propagates all ``k``.
     """
     if distinct <= 0:
         distinct = max(1, k // 4)
@@ -223,21 +224,16 @@ def bench_circuit(
     return rows
 
 
-def _delta_bitwise_check(
+def _dedup_bitwise_check(
     circuit, parallelism: int, k: int, kernel: str
 ) -> Dict[str, object]:
-    """Fresh-compile oracle for the delta chain.
-
-    The batched side must be a *fresh* estimator: a reused one carries
-    the documented 1-ULP dirty-path drift across sweeps, which would
-    make the comparison measure the baseline's noise instead of the
-    delta chain's correctness.
-    """
+    """Fresh-compile oracle for dedup: ``query_many`` on one fresh
+    compile vs. the full batched pass on another, exact equality."""
     models = delta_scenarios(circuit, k, salt=0)
     oracle_model, _ = compile_or_fallback(circuit, parallelism, kernel)
-    oracle = oracle_model.query_many(models)
+    oracle = oracle_model.estimator.estimate_many(models)
     fresh_model, _ = compile_or_fallback(circuit, parallelism, kernel)
-    got = fresh_model.query_many(models, sweep_mode="delta")
+    got = fresh_model.query_many(models)
     worst = 0.0
     equal = True
     for expect, actual in zip(oracle, got):
@@ -249,33 +245,29 @@ def _delta_bitwise_check(
     return {"bitwise_equal": equal, "max_abs_diff": worst}
 
 
-def bench_delta_circuit(
+def bench_dedup_circuit(
     name: str,
     k: int,
     repeats: int,
     parallelism: int,
     kernel: str = "auto",
 ) -> Dict[str, object]:
-    """One low-Hamming delta-sweep row: delta chain vs. fresh batched."""
+    """One low-Hamming repeated sweep row: dedup vs. full batched."""
     circuit = suite.load_circuit(name)
     model, method = compile_or_fallback(circuit, parallelism, kernel)
+    full_pass = model.estimator.estimate_many
 
-    # Warm both modes once (outside timing), same protocol as the
+    # Warm both paths once (outside timing), same protocol as the
     # batched rows.
-    model.query_many(delta_scenarios(circuit, k, salt=repeats + 1))
-    model.query_many(
-        delta_scenarios(circuit, k, salt=repeats + 2), sweep_mode="delta"
-    )
+    full_pass(delta_scenarios(circuit, k, salt=repeats + 1))
+    model.query_many(delta_scenarios(circuit, k, salt=repeats + 2))
 
     batched = min(
-        timed(model.query_many, delta_scenarios(circuit, k, salt=r))
+        timed(full_pass, delta_scenarios(circuit, k, salt=r))
         for r in range(repeats)
     )
-    delta = min(
-        timed(
-            lambda scens: model.query_many(scens, sweep_mode="delta"),
-            delta_scenarios(circuit, k, salt=r),
-        )
+    dedup = min(
+        timed(model.query_many, delta_scenarios(circuit, k, salt=r))
         for r in range(repeats)
     )
     row: Dict[str, object] = {
@@ -284,23 +276,23 @@ def bench_delta_circuit(
         "method": method,
         "kernel": kernel,
         "batch_size": k,
-        "sweep": "delta",
+        "sweep": "dedup",
         "distinct_scenarios": max(1, k // 4),
-        "delta_seconds": delta,
+        "dedup_seconds": dedup,
         "fresh_batched_seconds": batched,
         # The kind's canonical rate metric: scenarios/sec in this row's
-        # sweep mode (the "sweep" key field keeps delta and plain
+        # sweep mode (the "sweep" key field keeps dedup and plain
         # batched rows from colliding in diffs).
-        "batched_scenarios_per_sec": k / delta,
+        "batched_scenarios_per_sec": k / dedup,
         "fresh_batched_scenarios_per_sec": k / batched,
-        "delta_speedup": batched / delta,
+        "dedup_speedup": batched / dedup,
     }
-    row.update(_delta_bitwise_check(circuit, parallelism, k, kernel))
+    row.update(_dedup_bitwise_check(circuit, parallelism, k, kernel))
     print(
         f"{name:>10s}  K={k:<4d} "
-        f"fresh   {row['fresh_batched_scenarios_per_sec']:9.1f}/s  "
-        f"delta   {row['batched_scenarios_per_sec']:9.1f}/s  "
-        f"speedup {row['delta_speedup']:6.2f}x  "
+        f"full    {row['fresh_batched_scenarios_per_sec']:9.1f}/s  "
+        f"dedup   {row['batched_scenarios_per_sec']:9.1f}/s  "
+        f"speedup {row['dedup_speedup']:6.2f}x  "
         f"bitwise={'yes' if row['bitwise_equal'] else 'NO'}"
     )
     return row
@@ -347,11 +339,11 @@ def main(argv=None) -> int:
     if any(k < 1 for k in batch_sizes):
         parser.error("--batch-sizes entries must be >= 1")
 
-    # Delta rows exercise the warm-sweep shape; a K=1 "sweep" has no
-    # chain to amortize.  K=64 is the canonical gated size (the
-    # committed c432s baseline row); fall back to the largest
-    # configured batch when 64 is not in the sweep.
-    delta_k = 64 if 64 in batch_sizes else max(batch_sizes)
+    # Dedup rows need repeats to collapse; a K=1 "sweep" has none.
+    # K=64 is the canonical gated size (the committed c432s baseline
+    # row); fall back to the largest configured batch when 64 is not in
+    # the sweep.
+    dedup_k = 64 if 64 in batch_sizes else max(batch_sizes)
 
     rows: List[Dict[str, object]] = []
     for name in circuits:
@@ -360,10 +352,10 @@ def main(argv=None) -> int:
                 name, batch_sizes, repeats, args.parallelism, args.kernel
             )
         )
-        if delta_k > 1:
+        if dedup_k > 1:
             rows.append(
-                bench_delta_circuit(
-                    name, delta_k, repeats, args.parallelism, args.kernel
+                bench_dedup_circuit(
+                    name, dedup_k, repeats, args.parallelism, args.kernel
                 )
             )
 

@@ -55,7 +55,9 @@ class TabularCPD:
                 f"expected child cardinality {cardinality}"
             )
         sums = values.sum(axis=-1)
-        if not np.allclose(sums, 1.0, atol=1e-8):
+        # np.allclose(sums, 1.0, atol=1e-8) spelled out: the same test
+        # (NaN and +-inf fail) without allclose's per-call overhead.
+        if not (np.abs(sums - 1.0) <= 1e-8 + 1e-5 * 1.0).all():
             raise ValueError(
                 f"CPD for {variable!r}: rows must sum to 1 "
                 f"(worst deviation {np.abs(sums - 1).max():.3g})"

@@ -443,34 +443,6 @@ class JunctionTree:
         else:
             self._init_potentials()
 
-    def update_cpds_chain(self, cpds: Iterable[TabularCPD]) -> None:
-        """Warm-start chain step: swap in only the *changed* CPDs.
-
-        Delta sweeps call this between consecutive scenarios.  The CPD
-        products of the affected cliques are patched incrementally --
-        that is the expensive part of a scenario swap -- but the next
-        :meth:`calibrate` propagates from reset initial potentials
-        rather than the previous scenario's calibrated beliefs.  The
-        dirty-path fast path updates clean cliques by separator-ratio
-        multiplies, whose rounding differs (by ~1 ULP) from a fresh
-        pass; restarting from the (bitwise-identical) initial products
-        keeps every chain result bitwise-equal to an independent
-        propagation, which is the contract delta sweeps promise.  The
-        chain counters live on the engine
-        (:class:`~repro.bayesian.propagation.PropagationCounters`).
-        """
-        cpds = list(cpds)
-        engine = self._engine
-        self.update_cpds(cpds)
-        if self._cpd_products is not None:
-            # update_cpds only marked the affected cliques dirty; force
-            # the full reset that restores bitwise parity with a fresh
-            # propagation over the patched products.
-            self._init_potentials()
-        if engine is not None:
-            engine.counters.chain_steps += 1
-            engine.counters.chain_potentials_updated += len(cpds)
-
     # ------------------------------------------------------------------
     # Batched multi-scenario propagation
     # ------------------------------------------------------------------

@@ -333,9 +333,6 @@ class PropagationCounters:
     one per propagation in single-query mode and ``K`` per batched
     propagation; ``potentials_unchanged`` counts ``set_potential``
     calls skipped because the new values equalled the installed ones.
-    ``chain_steps``/``chain_potentials_updated`` count delta-sweep
-    warm-start steps (scenarios chained on a calibrated tree) and the
-    changed potentials those steps actually installed.
     """
 
     __slots__ = (
@@ -348,8 +345,6 @@ class PropagationCounters:
         "flops",
         "scenarios_propagated",
         "potentials_unchanged",
-        "chain_steps",
-        "chain_potentials_updated",
     )
 
     _FIELDS = __slots__
@@ -1037,8 +1032,6 @@ class PropagationEngine:
             ("engine.flops", "flops"),
             ("engine.scenarios_propagated", "scenarios_propagated"),
             ("engine.potentials_unchanged", "potentials_unchanged"),
-            ("engine.chain_steps", "chain_steps"),
-            ("engine.chain_potentials_updated", "chain_potentials_updated"),
         ):
             total = getattr(counters, field)
             published = self._published.get(name, 0)

@@ -294,7 +294,6 @@ def _cmd_sweep(args) -> None:
         cache=_resolve_cli_cache(args),
         batch_size=args.batch,
         dtype=args.dtype,
-        sweep_mode=args.sweep_mode,
         **kernel_opts,
         **_refine_opts(args),
     )
@@ -303,7 +302,7 @@ def _cmd_sweep(args) -> None:
     batch_note = args.batch if args.batch else len(models)
     print(
         f"{circuit.name}: {circuit.num_gates} gates, {len(models)} scenario(s), "
-        f"batch {batch_note}, sweep {args.sweep_mode}, "
+        f"batch {batch_note}, "
         f"method {results[0].method}, cache {cache_note}"
     )
     rows = [
@@ -762,7 +761,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pw.add_argument(
         "--batch", type=int, default=None, metavar="K",
-        help="scenarios per batched propagation (default: all in one batch)",
+        help="distinct scenarios per batched propagation (default: all in "
+             "one batch)",
     )
     pw.add_argument(
         "--backend", default="auto",
@@ -777,13 +777,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--dtype", choices=["float64", "float32"], default="float64",
         help="batch-buffer dtype; float32 halves sweep memory at ~1e-6 "
              "relative tolerance",
-    )
-    pw.add_argument(
-        "--sweep-mode", choices=["auto", "batched", "delta"], default="batched",
-        dest="sweep_mode",
-        help="delta mode dedups equal scenarios and runs similar ones as an "
-             "incremental chain (bitwise-equal to batched); auto picks delta "
-             "only when the sweep has exploitable structure",
     )
     pw.add_argument(
         "--refine", type=int, default=0, metavar="N",

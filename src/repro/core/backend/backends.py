@@ -23,17 +23,20 @@ behind one :class:`~repro.core.backend.base.Backend` surface:
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 from typing import Any, Callable, Dict, Optional
 
 import numpy as np
 
 from repro.circuits.netlist import Circuit
+from repro.core import rcache
 from repro.core.backend.base import Backend, CompiledModel, Method
 from repro.core.backend.errors import CliqueBudgetExceeded
 from repro.core.estimator import SwitchingActivityEstimator, SwitchingEstimate
 from repro.core.inputs import IndependentInputs, InputModel
 from repro.errors import ZeroBeliefError
 from repro.core.segmentation import SegmentedEstimator
+from repro.core.sweep import group_scenarios
 from repro.obs.trace import get_tracer
 
 __all__ = [
@@ -50,8 +53,10 @@ __all__ = [
 class EstimatorCompiledModel(CompiledModel):
     """Artifact wrapping a compiled estimator.
 
-    Works for every estimator exposing ``update_inputs`` +
-    ``estimate`` (single-BN, segmented, enumeration); the junction-tree
+    Works for every estimator exposing ``update_inputs``, ``estimate``
+    and ``estimate_many`` (single-BN, segmented, enumeration -- all
+    deterministic, which is what lets :meth:`query_many` propagate
+    each distinct scenario once); the junction-tree
     structure, propagation schedules, and clique potentials pickle with
     the estimator, so a loaded artifact re-propagates without paying
     the compile again.
@@ -74,71 +79,87 @@ class EstimatorCompiledModel(CompiledModel):
         inputs_list: "list[InputModel]",
         batch_size: Optional[int] = None,
         dtype: Optional[str] = None,
-        sweep_mode: Optional[str] = None,
     ) -> "list[SwitchingEstimate]":
-        """Vectorized sweep: K scenarios through one batched propagation.
+        """Vectorized sweep: each distinct scenario propagates once.
 
-        Delegates to the estimator's ``estimate_many`` (single-BN and
-        segmented estimators propagate the whole chunk in one engine
-        pass; enumeration loops internally).  ``batch_size`` caps the
-        scenarios per pass -- batched propagation memory is
-        ``batch_size x`` the single-query engine footprint.
-        ``dtype="float32"`` runs propagating estimators' batch buffers
-        in float32 (ignored by estimators without a dtype knob).
-        ``sweep_mode`` forwards the delta-sweep planner selection to
-        estimators that accept it (ignored elsewhere); note the planner
-        sees one chunk at a time, so dedup/chaining only spans scenarios
-        within the same ``batch_size`` chunk.
+        Scenarios are keyed by :func:`repro.core.rcache.scenario_digest`
+        (the result cache's key, so two specs inducing the same input
+        CPDs collide) and only the first occurrence of each key -- its
+        representative -- is propagated, through the estimator's
+        ``estimate_many`` in chunks of at most ``batch_size``
+        representatives.  Batch rows never interact, so a
+        representative's row is bitwise the row each duplicate would
+        have computed; every caller index gets its own
+        :class:`SwitchingEstimate` and dict (the arrays may alias, as
+        batch rows do).  ``propagate_seconds`` is the amortized share of
+        the propagation over all K caller scenarios.  A one-scenario
+        sweep skips the digest.
+
+        ``batch_size`` caps the representatives per pass -- batched
+        propagation memory is ``batch_size x`` the single-query engine
+        footprint.  ``dtype="float32"`` runs propagating estimators'
+        batch buffers in float32 (ignored by estimators without a
+        dtype knob).
 
         A :class:`ZeroBeliefError` escaping a chunk is re-raised with
-        its ``batch_indices`` rebased to the *caller's* scenario
-        numbering: the estimator only ever sees one chunk, so its
-        indices are chunk-local, and reporting those for any chunk but
-        the first would point the caller at the wrong scenarios.
+        its ``batch_indices`` mapped to the *caller's* scenario
+        numbering: every caller index whose representative failed.
         """
         models = list(inputs_list)
         if not models:
             return []
-        estimate_many = getattr(self.estimator, "estimate_many", None)
-        if estimate_many is None:
-            return super().query_many(models, batch_size=batch_size)
-        # Only forward non-default knobs, and only to estimators that
-        # take them (EnumerationSegment.estimate_many takes neither).
+        estimate_many = self.estimator.estimate_many
+        # Only forward a non-default dtype, and only to estimators that
+        # take it (EnumerationSegment.estimate_many does not).
         kwargs = {}
         if dtype is not None and dtype != "float64":
             import inspect
 
             if "dtype" in inspect.signature(estimate_many).parameters:
                 kwargs["dtype"] = dtype
-        if sweep_mode is not None and sweep_mode != "batched":
-            import inspect
-
-            if "sweep_mode" in inspect.signature(estimate_many).parameters:
-                kwargs["sweep_mode"] = sweep_mode
-        chunk = len(models) if not batch_size or batch_size < 1 else batch_size
-        results: "list[SwitchingEstimate]" = []
+        if len(models) == 1:
+            reps, scatter = [0], [0]
+        else:
+            reps, scatter = group_scenarios(
+                [rcache.scenario_digest(self.circuit, m) for m in models]
+            )
+        distinct = [models[r] for r in reps]
+        chunk = len(distinct) if not batch_size or batch_size < 1 else batch_size
+        computed: "list[SwitchingEstimate]" = []
         with get_tracer().span(
             "backend.query_many",
             backend=self.backend_name,
             circuit=self.circuit.name,
             scenarios=len(models),
+            distinct=len(distinct),
             batch=chunk,
         ):
-            for start in range(0, len(models), chunk):
+            for start in range(0, len(distinct), chunk):
                 try:
-                    results.extend(
-                        estimate_many(models[start : start + chunk], **kwargs)
+                    computed.extend(
+                        estimate_many(distinct[start : start + chunk], **kwargs)
                     )
                 except ZeroBeliefError as err:
                     local = getattr(err, "batch_indices", None)
                     if local:
-                        err.batch_indices = tuple(start + i for i in local)
+                        failed = {start + i for i in local}
+                        err.batch_indices = tuple(
+                            j for j, r in enumerate(scatter) if r in failed
+                        )
                         err.args = (
                             "cannot normalize a zero belief for batch "
                             f"elements {list(err.batch_indices)}",
                         ) + err.args[1:]
                     raise
-        return results
+        share = sum(r.propagate_seconds for r in computed) / len(models)
+        return [
+            replace(
+                computed[r],
+                distributions=dict(computed[r].distributions),
+                propagate_seconds=share,
+            )
+            for r in scatter
+        ]
 
     @property
     def compile_seconds(self) -> float:

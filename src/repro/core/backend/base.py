@@ -124,22 +124,20 @@ class CompiledModel(ABC):
         inputs_list: "list[InputModel]",
         batch_size: Optional[int] = None,
         dtype: Optional[str] = None,
-        sweep_mode: Optional[str] = None,
     ) -> "list[SwitchingEstimate]":
         """Estimate K input-statistics scenarios against one compile.
 
-        The default implementation loops :meth:`query`; backends whose
-        estimator supports batched propagation (junction-tree,
-        segmented) override this with a vectorized pass.  ``batch_size``
+        The default implementation loops :meth:`query`; the
+        deterministic estimator backends (junction-tree, segmented,
+        enumeration) override it to propagate each distinct scenario
+        once, in vectorized batches.  ``batch_size``
         chunks the sweep (propagation memory scales as
         ``batch_size x factor_bytes``); ``None`` propagates all K
         scenarios in one batch.  ``dtype="float32"`` asks for float32
         batch buffers where the backend supports them (~1e-6 relative
-        tolerance).  ``sweep_mode`` (``"auto"``/``"batched"``/
-        ``"delta"``) selects the delta-sweep planner on estimators that
-        support it (dedup plus incremental chains for similar
-        scenarios, bitwise-equal to the fresh batched pass).
-        Loop-based backends ignore all three.
+        tolerance).  Loop-based backends ignore both and query every
+        scenario, duplicates included (an unseeded Monte Carlo draws
+        afresh each time).
         """
         return [self.query(model) for model in inputs_list]
 

@@ -336,7 +336,6 @@ def estimate_many(
     batch_size: Optional[int] = None,
     validate: bool = True,
     dtype: Optional[str] = None,
-    sweep_mode: Optional[str] = None,
     result_cache: ResultCacheSpec = None,
     **options: Any,
 ):
@@ -356,10 +355,10 @@ def estimate_many(
     propagates all K scenarios in one batch.  ``dtype="float32"``
     requests float32 batch buffers from propagating backends (half the
     batch memory, ~1e-6 relative tolerance; other backends ignore it).
-    ``sweep_mode`` (``"auto"``/``"batched"``/``"delta"``) selects the
-    delta-sweep planner on estimators that support it; ``result_cache``
-    replays exact repeats of previously answered scenarios (see
-    :func:`estimate`) and propagates only the misses, in one batch.
+    Duplicate scenarios propagate once (``query_many`` deduplicates by
+    scenario digest); ``result_cache`` replays exact repeats of
+    previously answered scenarios (see :func:`estimate`) and propagates
+    only the misses, in one batch.
     There is no fallback chain here -- a failing backend raises its
     typed error directly.
     """
@@ -400,7 +399,6 @@ def estimate_many(
         [models[i] for i in miss_indices],
         batch_size=batch_size,
         dtype=dtype,
-        sweep_mode=sweep_mode,
     )
     ordered = list(hits.get(i) for i in range(len(models)))
     for index, result in zip(miss_indices, results):

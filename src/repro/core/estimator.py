@@ -212,10 +212,7 @@ class SwitchingActivityEstimator:
         )
 
     def estimate_many(
-        self,
-        input_models,
-        dtype: str = "float64",
-        sweep_mode: str = "batched",
+        self, input_models, dtype: str = "float64"
     ) -> "list[SwitchingEstimate]":
         """Estimate K input-statistics scenarios in one batched pass.
 
@@ -227,129 +224,21 @@ class SwitchingActivityEstimator:
         once instead of K times.  Result ``k`` is bitwise-identical to
         an independent ``estimate()`` with scenario ``k``'s model.
 
-        ``sweep_mode`` selects the execution plan: ``"batched"`` (the
-        default) is the vectorized pass above; ``"delta"`` collapses
-        duplicate scenarios, orders the unique ones greedily by
-        CPD-change Hamming distance, and runs an incremental chain --
-        :meth:`JunctionTree.update_cpds_chain` on only the changed input
-        CPDs, then a dirty-clique repropagation -- which wins when
-        consecutive scenarios share most of their statistics;
-        ``"auto"`` picks ``"delta"`` exactly when duplicates exist.
-        Every mode returns bitwise-identical results (dirty-path
-        repropagation recomputes with the same kernels over the same
-        potentials, and cached clean-subtree messages are the bitwise
-        product of those same kernels).
-
         Every model must induce the same input-to-input edge structure
         as the compiled one (same rule as :meth:`update_inputs`).  This
         does not touch the single-query state: ``self.input_model`` and
-        a subsequent :meth:`estimate` are unaffected (the delta chain
-        restores the original input CPDs when it finishes).
+        a subsequent :meth:`estimate` are unaffected.
         ``propagate_seconds`` on each result is the amortized per-
         scenario share of the sweep.
         """
         models = list(input_models)
         if not models:
             return []
-        if sweep_mode not in ("auto", "batched", "delta"):
-            raise ValueError(
-                f"unknown sweep_mode {sweep_mode!r} (auto|batched|delta)"
-            )
-        mode = sweep_mode
-        if mode != "batched" and len(models) > 1:
-            from repro.core.rcache import input_cpd_signatures
-            from repro.core.sweep import group_scenarios
-
-            signatures = [
-                input_cpd_signatures(self.circuit, m) for m in models
-            ]
-            keys = [
-                tuple(sig[name][0] for name in sorted(sig))
-                for sig in signatures
-            ]
-            reps, scatter = group_scenarios(keys)
-            if mode == "auto":
-                mode = "delta" if len(reps) < len(models) else "batched"
-            if mode == "delta":
-                return self._estimate_many_delta(
-                    models, signatures, reps, scatter
-                )
         lines = list(self.circuit.lines)
         batched, per_scenario = self.estimate_many_stacked(models, lines, dtype=dtype)
         return [
             SwitchingEstimate(
                 distributions={line: batched[line][k] for line in lines},
-                compile_seconds=self.compile_seconds,
-                propagate_seconds=per_scenario,
-                method=Method.SINGLE_BN.value,
-            )
-            for k in range(len(models))
-        ]
-
-    def _estimate_many_delta(
-        self, models, signatures, reps, scatter
-    ) -> "list[SwitchingEstimate]":
-        """Incremental delta chain over the unique scenarios.
-
-        Scenarios with equal signatures share one propagation; between
-        consecutive unique scenarios only the inputs whose CPD digests
-        changed are re-installed, so the engine's dirty-clique tracking
-        turns each step into a partial repropagation.  Bitwise parity
-        with independent full passes holds because unchanged cliques
-        keep messages computed by the same kernels over bitwise-equal
-        potentials.  The estimator's own input CPDs are restored on the
-        way out, so single-query state is untouched.
-        """
-        from repro.core.sweep import plan_delta_order
-
-        self.compile()
-        tracer = get_tracer()
-        lines = list(self.circuit.lines)
-        input_names = list(self.circuit.inputs)
-        order = plan_delta_order([signatures[rep] for rep in reps])
-        original = [self._jt._bn.cpd(name) for name in input_names]
-        rep_results: "list[Optional[Dict[str, np.ndarray]]]" = [None] * len(reps)
-        with tracer.span(
-            "estimator.propagate_chain",
-            circuit=self.circuit.name,
-            backend="junction-tree",
-            scenarios=len(models),
-            unique=len(reps),
-        ) as span:
-            try:
-                previous = None
-                for position in order:
-                    model = models[reps[position]]
-                    sig = signatures[reps[position]]
-                    cpds = model.input_cpds_trusted(input_names)
-                    if previous is None:
-                        changed = cpds
-                    else:
-                        changed = [
-                            cpd
-                            for cpd in cpds
-                            if previous.get(cpd.variable) != sig[cpd.variable]
-                        ]
-                    if changed:
-                        self._jt.update_cpds_chain(changed)
-                    self._jt.calibrate()
-                    batched = self._jt.marginals(lines)
-                    rep_results[position] = {
-                        line: np.array(batched[line], copy=True)
-                        for line in lines
-                    }
-                    previous = sig
-            finally:
-                # Restore via the chain API: its potential reset means
-                # the *next* single query is a full pass from fresh
-                # initial products, bitwise-equal to a fresh estimator
-                # (plain update_cpds would leave the next calibrate on
-                # the ~1-ULP dirty-path ratio updates).
-                self._jt.update_cpds_chain(original)
-        per_scenario = span.duration / len(models)
-        return [
-            SwitchingEstimate(
-                distributions=dict(rep_results[scatter[k]]),
                 compile_seconds=self.compile_seconds,
                 propagate_seconds=per_scenario,
                 method=Method.SINGLE_BN.value,

@@ -18,9 +18,8 @@ This module supplies the two halves of that reuse:
   artifact schema), so a cache entry can never survive anything that
   would have changed the compiled model.
 
-:func:`input_cpd_signatures` exposes the per-input digests the sweep
-planner uses to measure scenario similarity (CPD-change Hamming
-distance) without re-hashing whole scenarios.
+``EstimatorCompiledModel.query_many`` keys its sweep dedup with the same
+digest: a sweep's dedup is a result cache that lives for one call.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from repro.obs.metrics import get_metrics
 
 __all__ = [
     "ResultCache",
-    "input_cpd_signatures",
     "replay_estimate",
     "scenario_digest",
 ]
@@ -61,22 +59,6 @@ def _cpd_digest(cpd) -> bytes:
     return h.digest()
 
 
-def input_cpd_signatures(
-    circuit, input_model
-) -> "Dict[str, Tuple[bytes, Tuple[str, ...]]]":
-    """Per-input ``{name: (digest, parents)}`` for one scenario.
-
-    Digests hash the CPD the model *induces* for each primary input of
-    ``circuit`` (via ``input_cpds_trusted``), so any two specs that
-    build the same tables -- whatever their surface form -- get equal
-    digests.  The parents tuple lets callers close a subset of inputs
-    over its correlation chain (a chained member's CPD depends on its
-    predecessors' CPDs too).
-    """
-    cpds = input_model.input_cpds_trusted(list(circuit.inputs))
-    return {cpd.variable: (_cpd_digest(cpd), tuple(cpd.parents)) for cpd in cpds}
-
-
 def scenario_digest(circuit, input_model) -> str:
     """Canonical content digest of one scenario against one circuit.
 
@@ -86,10 +68,10 @@ def scenario_digest(circuit, input_model) -> str:
     Member order *within* a correlated group is a different chain model
     (different CPD parent structure) and digests differently.
     """
-    signatures = input_cpd_signatures(circuit, input_model)
+    cpds = input_model.input_cpds_trusted(list(circuit.inputs))
     h = hashlib.sha256()
-    for name in sorted(signatures):
-        h.update(signatures[name][0])
+    for cpd in sorted(cpds, key=lambda cpd: cpd.variable):
+        h.update(_cpd_digest(cpd))
     return h.hexdigest()
 
 

@@ -549,7 +549,7 @@ class SegmentedEstimator:
         )
 
     def estimate_many(
-        self, input_models, dtype: str = "float64", sweep_mode: str = "batched"
+        self, input_models, dtype: str = "float64"
     ) -> List[SwitchingEstimate]:
         """Estimate K input-statistics scenarios in one batched sweep.
 
@@ -565,41 +565,11 @@ class SegmentedEstimator:
         caveat as the engine: identical dirty paths, e.g. fresh
         compiles or sweeps updating every input).  ``self.input_model``
         is not modified.
-
-        ``sweep_mode="delta"`` runs the per-segment dedup plan instead:
-        scenarios whose *effective* inputs to a segment (primary-input
-        CPD digests, boundary priors, boundary conditionals) coincide
-        share one batch row, and results scatter back to all K rows --
-        a segment outside a sweep's change cone collapses to one
-        propagation.  Bitwise parity with the batched sweep follows
-        from the engine's batch contract: equal effective inputs mean
-        the shared row *is* the row every duplicate would have
-        computed.  ``"auto"`` picks delta when the scenario set shows
-        reuse (duplicate scenarios, or any input whose statistics never
-        change across the sweep).  Delta requires ``refine == 0`` and a
-        real multi-segment graph; otherwise it falls back to batched.
         """
         models = list(input_models)
         if not models:
             return []
-        if sweep_mode not in ("auto", "batched", "delta"):
-            raise ValueError(
-                f"unknown sweep_mode {sweep_mode!r} (auto|batched|delta)"
-            )
         self.compile()
-        if (
-            sweep_mode != "batched"
-            and len(models) > 1
-            and len(self.graph) > 1
-            and self.effective_refine_iters() == 0
-        ):
-            from repro.core.rcache import input_cpd_signatures
-
-            signatures = [
-                input_cpd_signatures(self.circuit, m) for m in models
-            ]
-            if sweep_mode == "delta" or self._delta_profitable(signatures):
-                return self._estimate_many_delta(models, signatures, dtype)
         k = len(models)
         tracer = get_tracer()
         with tracer.span(
@@ -702,206 +672,6 @@ class SegmentedEstimator:
                     pairs.append((parent, child))
         return needed
 
-    def _delta_profitable(self, signatures) -> bool:
-        """Auto-mode gate: does the scenario set show per-segment reuse?
-
-        True when any primary input's CPD digest is constant across all
-        scenarios (segments outside the change cone then collapse) or
-        when whole scenarios repeat.  A sweep that changes every input
-        every time gains nothing from dedup and stays batched.
-        """
-        first = signatures[0]
-        rest = signatures[1:]
-        for name, sig in first.items():
-            if all(other.get(name) == sig for other in rest):
-                return True
-        keys = [
-            tuple(sig[name][0] for name in sorted(sig)) for sig in signatures
-        ]
-        return len(set(keys)) < len(keys)
-
-    def _estimate_many_delta(
-        self, models: List[InputModel], signatures, dtype: str = "float64"
-    ) -> List[SwitchingEstimate]:
-        """Per-segment dedup sweep (``sweep_mode="delta"``).
-
-        Serial segment order (providers always finish before their
-        consumers read boundary joints); each segment batches only its
-        unique effective-input representatives and scatters the rows
-        back to all K scenarios.  ``scatter_of`` remembers each
-        segment's scenario->representative map so downstream consumers
-        can expand a provider's representative-sized live batch (its
-        ``joint_marginal_batch``) to K rows.
-        """
-        k = len(models)
-        tracer = get_tracer()
-        with tracer.span(
-            "segmented.propagate_many",
-            circuit=self.circuit.name,
-            segments=len(self.graph),
-            scenarios=k,
-            backend="segmented",
-            sweep="delta",
-        ) as span:
-            known: Dict[str, np.ndarray] = {
-                name: np.stack(
-                    [m.marginal_distribution(name) for m in models]
-                )
-                for name in self.circuit.inputs
-            }
-            enum_joints: Dict[Tuple[int, str, str], np.ndarray] = {}
-            needed = self._needed_enum_joints()
-            scatter_of: Dict[int, np.ndarray] = {}
-            for index in range(len(self.graph)):
-                known.update(
-                    self._propagate_segment_batch_dedup(
-                        index, known, models, needed, enum_joints,
-                        signatures, scatter_of, dtype=dtype,
-                    )
-                )
-            self.last_refine = (0, 0.0)
-        per_scenario = span.duration / k
-        method = (
-            Method.SEGMENTED.value
-            if len(self.graph) > 1
-            else Method.SINGLE_BN.value
-        )
-        return [
-            SwitchingEstimate(
-                distributions={line: known[line][j] for line in known},
-                compile_seconds=self.compile_seconds,
-                propagate_seconds=per_scenario,
-                method=method,
-                segments=len(self.graph),
-            )
-            for j in range(k)
-        ]
-
-    def _primary_closure(self, primary: List[str], signature) -> List[str]:
-        """A segment's primary inputs closed over their correlation
-        chains: a chained member's induced CPD depends on its
-        predecessors' statistics, so the segment signature must cover
-        them even when they live outside the segment."""
-        seen: set = set()
-        stack = list(primary)
-        while stack:
-            name = stack.pop()
-            if name in seen:
-                continue
-            seen.add(name)
-            entry = signature.get(name)
-            if entry is not None:
-                stack.extend(entry[1])
-        return sorted(seen)
-
-    def _propagate_segment_batch_dedup(
-        self,
-        index: int,
-        known: Dict[str, np.ndarray],
-        models: List[InputModel],
-        needed: Dict[int, List[Tuple[str, str]]],
-        enum_joints: Dict[Tuple[int, str, str], np.ndarray],
-        signatures,
-        scatter_of: Dict[int, np.ndarray],
-        dtype: str = "float64",
-    ) -> Dict[str, np.ndarray]:
-        """Dedup counterpart of :meth:`_propagate_segment_batch`.
-
-        Builds a per-scenario *effective input signature* -- primary
-        CPD digests (closed over correlation chains), boundary prior
-        bytes, boundary conditional bytes -- and propagates only the
-        first scenario of each signature class.  Two scenarios with
-        equal signatures hand the segment bitwise-identical potentials,
-        so by the engine's batch contract the representative's row is
-        exactly the row each duplicate would have produced; the scatter
-        therefore preserves the batched sweep bitwise.  Returned stacks
-        are expanded back to ``(K, 4)``.
-        """
-        from repro.core.enumeration import EnumerationSegment
-        from repro.core.sweep import group_scenarios
-
-        node = self.graph[index]
-        segment, estimator, owned = node.segment, node.estimator, node.owned
-        k = len(models)
-        with get_tracer().span(
-            "segment.propagate_many",
-            segment=segment.name,
-            scenarios=k,
-        ) as seg_span:
-            primary, boundary_lines = self._split_segment_inputs(segment)
-            parent_of = node.parent_of
-            conditionals_b: Dict[str, np.ndarray] = {}
-            for child, parent in parent_of.items():
-                if child in node.glue_children:
-                    # delta requires refine == 0, where no glue
-                    # children exist; guarded for safety.
-                    continue
-                conditionals_b[child] = self._boundary_conditional_batch(
-                    child, parent, known[child], enum_joints, scatter_of
-                )
-            closure = self._primary_closure(primary, signatures[0])
-            keys = []
-            for j in range(k):
-                parts: List[bytes] = [
-                    signatures[j][name][0] for name in closure
-                ]
-                parts.extend(
-                    known[name][j].tobytes() for name in boundary_lines
-                )
-                parts.extend(
-                    conditionals_b[child][j].tobytes()
-                    for child in parent_of
-                    if child in conditionals_b
-                )
-                keys.append(tuple(parts))
-            reps, scatter_list = group_scenarios(keys)
-            scatter = np.asarray(scatter_list, dtype=np.intp)
-            scatter_of[index] = scatter
-            seg_span.annotate(unique=len(reps))
-            rep_models: List[InputModel] = []
-            for j in reps:
-                priors = {name: known[name][j] for name in boundary_lines}
-                if parent_of:
-                    boundary: InputModel = TreeBoundaryInputs(
-                        priors,
-                        parent_of,
-                        {
-                            child: conditionals_b[child][j]
-                            for child in parent_of
-                            if child in conditionals_b
-                        },
-                    )
-                else:
-                    boundary = FixedMarginalInputs(priors)
-                rep_models.append(SegmentInputs(models[j], primary, boundary))
-            published = [
-                line for line in segment.internal_lines if line in owned
-            ]
-            if isinstance(estimator, EnumerationSegment):
-                results = []
-                pairs = needed.get(index, [])
-                for position, scenario in enumerate(rep_models):
-                    estimator.update_inputs(scenario)
-                    results.append(estimator.estimate())
-                    for parent, child in pairs:
-                        key = (index, parent, child)
-                        buffer = enum_joints.get(key)
-                        if buffer is None:
-                            buffer = enum_joints[key] = np.empty(
-                                (len(rep_models), N_STATES, N_STATES)
-                            )
-                        buffer[position] = estimator.pair_joint(parent, child)
-                return {
-                    line: np.stack(
-                        [r.distributions[line] for r in results]
-                    )[scatter]
-                    for line in published
-                }
-            stacks, _ = estimator.estimate_many_stacked(
-                rep_models, published, dtype=dtype
-            )
-            return {line: stacks[line][scatter] for line in published}
-
     def _propagate_segment_batch(
         self,
         index: int,
@@ -1002,15 +772,11 @@ class SegmentedEstimator:
         parent: str,
         child_priors: np.ndarray,
         enum_joints: Dict[Tuple[int, str, str], np.ndarray],
-        scatter_of: Optional[Dict[int, np.ndarray]] = None,
     ) -> np.ndarray:
         """Batched ``P(child | parent)``: a ``(K, 4, 4)`` stack whose
         slice ``k`` mirrors :meth:`_boundary_conditional` for scenario
         ``k`` bitwise (same division, same near-zero-row fallback to
-        the child's prior).  Under a dedup sweep the provider's live
-        batch holds one row per unique upstream scenario; its
-        ``scatter_of`` entry expands the joint back to K rows (a pure
-        row gather, bitwise-transparent) before the division."""
+        the child's prior)."""
         from repro.core.enumeration import EnumerationSegment
 
         provider_index = self.graph.owner[child]
@@ -1019,10 +785,6 @@ class SegmentedEstimator:
             joint = enum_joints[(provider_index, parent, child)]
         else:
             joint = provider.junction_tree.joint_marginal_batch([parent, child])
-        if scatter_of is not None:
-            scatter = scatter_of.get(provider_index)
-            if scatter is not None:
-                joint = joint[scatter]
         mass = joint.sum(axis=2)
         ok = mass > 1e-15
         safe = np.where(ok, mass, 1.0)

@@ -258,7 +258,9 @@ def boundary_forest(
     forest = nx.Graph()
     forest.add_edges_from(nx.maximum_spanning_edges(graph, data=False))
     for component in nx.connected_components(forest):
-        root = next(iter(component))
+        # min, not next(iter(...)): set order follows the string hash,
+        # so the orientation would change with PYTHONHASHSEED.
+        root = min(component)
         for parent, child in nx.bfs_edges(forest, root):
             parent_of[child] = parent
     return parent_of

@@ -201,7 +201,7 @@ def augment_boundary_forest(
     glue_children: set = set()
     glue_plans: Dict[str, Tuple[str, ...]] = {}
     for members in nx.connected_components(forest):
-        root = next(iter(members))
+        root = min(members)  # hash-seed independent, as in boundary_forest
         for parent, child in nx.bfs_edges(forest, root):
             parent_of[child] = parent
             plan = glue_pairs.get(frozenset((parent, child)))

@@ -1,29 +1,20 @@
-"""Sweep planning: scenario dedup and delta-chain ordering.
+"""Sweep planning: collapse duplicate scenarios before propagation.
 
 A K-scenario sweep rarely consists of K unrelated statistics: synthesis
-loops repeat scenarios exactly, and parameter sweeps change one input
-at a time.  The planners here turn per-input CPD digests (from
-:func:`repro.core.rcache.input_cpd_signatures`) into the two structures
-delta sweeps need:
-
-- :func:`group_scenarios` -- collapse exact duplicates to unique
-  representatives plus a scatter index mapping every scenario back to
-  its representative's result row.
-- :func:`plan_delta_order` -- a greedy nearest-neighbour ordering by
-  CPD-change Hamming distance (how many inputs' CPDs differ), so an
-  incremental chain updates as few potentials as possible between
-  consecutive scenarios.
-
-Both are pure index computations -- they never touch the engine, so
-they cannot perturb the bitwise-parity contract of the sweeps built on
-top of them.
+and power loops revisit the same operating points.
+:func:`group_scenarios` turns per-scenario keys (the
+:func:`repro.core.rcache.scenario_digest` of each scenario) into the
+representatives to propagate and the scatter index that fans their
+results back out.  It is a pure index computation -- it never touches
+the engine, so it cannot perturb the bitwise-parity contract of the
+sweeps built on top of it.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Hashable, List, Sequence, Tuple
 
-__all__ = ["group_scenarios", "hamming_distance", "plan_delta_order"]
+__all__ = ["group_scenarios"]
 
 
 def group_scenarios(
@@ -46,44 +37,3 @@ def group_scenarios(
             reps.append(index)
         scatter.append(position)
     return reps, scatter
-
-
-def hamming_distance(
-    a: Dict[str, Tuple[bytes, Tuple[str, ...]]],
-    b: Dict[str, Tuple[bytes, Tuple[str, ...]]],
-) -> int:
-    """Number of inputs whose CPD digests differ between two scenarios."""
-    return sum(1 for name, sig in a.items() if b.get(name) != sig)
-
-
-def plan_delta_order(
-    signatures: Sequence[Dict[str, Tuple[bytes, Tuple[str, ...]]]],
-) -> List[int]:
-    """Greedy nearest-neighbour visiting order over the scenarios.
-
-    Starts at scenario 0 and repeatedly hops to the unvisited scenario
-    with the fewest changed input CPDs (ties broken by index, so the
-    plan is deterministic).  O(K^2 * inputs) -- fine for the sweep sizes
-    the batched engine can hold anyway.
-    """
-    count = len(signatures)
-    if count <= 2:
-        return list(range(count))
-    remaining = set(range(1, count))
-    order = [0]
-    current = 0
-    while remaining:
-        best = None
-        best_distance = None
-        for candidate in sorted(remaining):
-            distance = hamming_distance(
-                signatures[current], signatures[candidate]
-            )
-            if best_distance is None or distance < best_distance:
-                best, best_distance = candidate, distance
-                if distance == 0:
-                    break
-        order.append(best)
-        remaining.remove(best)
-        current = best
-    return order

@@ -146,26 +146,8 @@ def validate_input_model(circuit: "Circuit", model: "InputModel") -> None:
         raise InputModelError(
             f"input model must be an InputModel, got {type(model).__name__}"
         )
-    for name in circuit.inputs:
-        try:
-            marginal = np.asarray(model.marginal_distribution(name), dtype=float)
-        except KeyError as exc:
-            raise InputModelError(
-                f"input model provides no statistics for primary input {name!r}"
-            ) from exc
-        if marginal.shape != (N_STATES,):
-            raise InputModelError(
-                f"marginal of {name!r} has shape {marginal.shape}, "
-                f"expected ({N_STATES},)"
-            )
-        if not np.all(np.isfinite(marginal)):
-            raise InputModelError(f"marginal of {name!r} has non-finite entries")
-        if np.any(marginal < 0):
-            raise InputModelError(f"marginal of {name!r} has negative entries")
-        if abs(float(marginal.sum()) - 1.0) > _ATOL:
-            raise InputModelError(
-                f"marginal of {name!r} sums to {marginal.sum():.6g}, expected 1"
-            )
+    if not _marginals_ok(model, circuit.inputs):
+        _raise_first_bad_marginal(model, circuit.inputs)
     input_set = set(circuit.inputs)
     try:
         cpds = model.input_cpds(circuit.inputs)
@@ -191,13 +173,59 @@ def validate_input_model(circuit: "Circuit", model: "InputModel") -> None:
                     f"CPD of {cpd.variable!r} conditions on {parent!r}, "
                     f"which is not a primary input of {circuit.name}"
                 )
-        if not np.all(np.isfinite(cpd.to_factor().values)):
+        if not np.isfinite(cpd.to_factor().values).all():
             raise InputModelError(f"CPD of {cpd.variable!r} has non-finite entries")
     missing = input_set - covered
     if missing:
         raise InputModelError(
             f"input model provides no CPD for inputs {sorted(missing)}"
         )
+
+
+def _marginals_ok(model: "InputModel", names: Sequence[str]) -> bool:
+    """Every per-input marginal check of :func:`validate_input_model`
+    in one vectorized pass over the stacked ``(n_inputs, 4)`` marginals.
+
+    ``False`` means some check fails (or a marginal cannot even be
+    gathered); :func:`_raise_first_bad_marginal` then raises exactly
+    what the per-input checks raise, in input order.
+    """
+    try:
+        stacked = np.array(
+            [model.marginal_distribution(name) for name in names], dtype=float
+        )
+    except Exception:  # re-raised in input order by the per-input loop
+        return False
+    return bool(
+        stacked.shape == (len(names), N_STATES)
+        and np.isfinite(stacked).all()
+        and (stacked >= 0).all()
+        and (np.abs(stacked.sum(axis=1) - 1.0) <= _ATOL).all()
+    )
+
+
+def _raise_first_bad_marginal(model: "InputModel", names: Sequence[str]) -> None:
+    """The per-input marginal checks: raise on the first failing input."""
+    for name in names:
+        try:
+            marginal = np.asarray(model.marginal_distribution(name), dtype=float)
+        except KeyError as exc:
+            raise InputModelError(
+                f"input model provides no statistics for primary input {name!r}"
+            ) from exc
+        if marginal.shape != (N_STATES,):
+            raise InputModelError(
+                f"marginal of {name!r} has shape {marginal.shape}, "
+                f"expected ({N_STATES},)"
+            )
+        if not np.all(np.isfinite(marginal)):
+            raise InputModelError(f"marginal of {name!r} has non-finite entries")
+        if np.any(marginal < 0):
+            raise InputModelError(f"marginal of {name!r} has negative entries")
+        if abs(float(marginal.sum()) - 1.0) > _ATOL:
+            raise InputModelError(
+                f"marginal of {name!r} sums to {marginal.sum():.6g}, expected 1"
+            )
 
 
 def validate(circuit: "Circuit", model: Optional["InputModel"] = None) -> None:

@@ -357,7 +357,7 @@ def ingest_bench_documents(
         for row in throughput.get("results", []):
             block = measurements.setdefault(row["circuit"], {})
             rates = block.setdefault("batched_scenarios_per_sec", {})
-            # Delta-sweep rows share the batched rows' metric but carry
+            # Dedup-sweep rows share the batched rows' metric but carry
             # a "sweep" tag; suffix the key so both gate independently.
             rate_key = str(row["batch_size"])
             if row.get("sweep"):

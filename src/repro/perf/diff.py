@@ -260,9 +260,11 @@ _BENCH_KINDS: Dict[str, Dict[str, Any]] = {
         "higher_is_better": False,
     },
     "throughput": {
-        # "sweep" is optional in rows: only delta-sweep rows carry it,
-        # so (via _row_key's .get -> None) legacy batched rows keep the
-        # key identity they had before the field existed.
+        # "sweep" is optional in rows: only the repeated-sweep rows
+        # carry it ("dedup" since schema 4, "delta" in schema 3, so the
+        # two never pair up), and via _row_key's .get -> None plain
+        # batched rows keep the key identity they had before the field
+        # existed.
         "metric": "batched_scenarios_per_sec",
         "key_fields": ("circuit", "batch_size", "sweep"),
         "higher_is_better": True,

@@ -19,7 +19,6 @@ from repro.core.inputs import CorrelatedGroupInputs, IndependentInputs
 from repro.core.rcache import (
     ResultCache,
     _cpd_digest,
-    input_cpd_signatures,
     scenario_digest,
 )
 
@@ -78,12 +77,13 @@ class TestScenarioDigest:
         nudged = IndependentInputs(0.3 + 1e-12)
         assert scenario_digest(c17, base) != scenario_digest(c17, nudged)
 
-    def test_signatures_expose_parents(self, c17):
-        names = list(c17.inputs)
-        model = CorrelatedGroupInputs([(names[0], names[1])], rho=0.4)
-        signatures = input_cpd_signatures(c17, model)
-        assert signatures[names[1]][1] == (names[0],)
-        assert signatures[names[0]][1] == ()
+    def test_digest_covers_cpd_parents(self):
+        # Same table, different parent: a different conditional, so a
+        # different digest.
+        table = np.full((4, 4), 0.25)
+        on_a = TabularCPD("c", 4, table, ["a"])
+        on_b = TabularCPD("c", 4, table, ["b"])
+        assert _cpd_digest(on_a) != _cpd_digest(on_b)
 
 
 class TestResultCacheLRU:
