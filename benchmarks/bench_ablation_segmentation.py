@@ -13,7 +13,7 @@ import pytest
 from repro.analysis.metrics import error_statistics
 from repro.baselines.simulation import simulate_switching
 from repro.circuits import suite
-from repro.core.segmentation import SegmentedEstimator
+from repro.core.segments import SegmentedEstimator
 
 CIRCUIT = "c880s"
 COLUMNS = [

@@ -14,7 +14,7 @@ separately so regressions in any one of them are visible:
   comparisons should use (the mean is retained as
   ``repeat_estimate_seconds`` for context),
 - ``marginal_extraction_seconds`` -- reading every line's 4-state
-  marginal from an already calibrated tree (batched when available).
+  marginal from an already propagated install.
 
 Since schema version 2 every row also carries a ``breakdown`` section
 with the engine's structural work counters (messages passed, dirty
@@ -88,7 +88,7 @@ except ImportError:  # direct execution: python benchmarks/bench_propagation.py
 
 from repro.circuits import suite
 from repro.core.inputs import IndependentInputs
-from repro.core.segmentation import SegmentedEstimator
+from repro.core.segments import SegmentedEstimator
 
 #: Bump when the emitted JSON shape changes (v2: added ``schema_version``
 #: and per-row ``breakdown`` with engine work counters; v3:
@@ -102,19 +102,11 @@ BENCH_SCHEMA_VERSION = 4
 
 
 def _extract_marginals(estimator, lines: List[str]) -> float:
-    """Seconds to read every line marginal from a calibrated tree.
-
-    Uses the batched :meth:`JunctionTree.marginals` sweep when the
-    engine provides it, falling back to per-line ``marginal`` calls so
-    the runner also works against pre-engine checkouts.
-    """
+    """Seconds to read every line marginal from the propagated install
+    the last estimate left behind."""
     jt = estimator.junction_tree
     start = time.perf_counter()
-    if hasattr(jt, "marginals"):
-        jt.marginals(lines)
-    else:
-        for line in lines:
-            jt.marginal(line)
+    jt.marginals_batch(lines)
     return time.perf_counter() - start
 
 

@@ -14,8 +14,10 @@ This is the compilation + propagation machinery of the paper's Section 5:
 
 The *compile once, propagate per input-statistics* split the paper
 advertises maps to :meth:`JunctionTree.from_network` (steps 1-3, slow)
-versus :meth:`JunctionTree.update_cpds` + :meth:`JunctionTree.calibrate`
-(steps 4-5, fast).
+versus :meth:`JunctionTree.update_cpds_batch` +
+:meth:`JunctionTree.marginals_batch` (steps 4-5, fast).  Every query on
+the compiled engine is a batch: a single query is a K=1 install of the
+network's current CPDs (:meth:`JunctionTree.calibrate`).
 """
 
 from __future__ import annotations
@@ -103,18 +105,31 @@ class JunctionTree:
                 )
 
         self._evidence: Dict[str, int] = {}
+        #: cached per-clique product of assigned CPD factors (no
+        #: evidence); ``None`` marks a product update_cpds invalidated,
+        #: rebuilt only when a shared install or the Factor path needs it
+        self._cpd_products: List[Optional[Factor]] = [
+            self._clique_cpd_product(idx) for idx in range(len(cliques))
+        ]
+        #: ``engine=False`` keeps the Factor-based reference path, used
+        #: by tests and benchmarks as the slow oracle; its potentials
+        #: and separators live here.
+        self._use_engine = engine
         self._potentials: List[Factor] = []
         self._separators: Dict[frozenset, Factor] = {}
         self._calibrated = False
-        #: cached per-clique product of assigned CPD factors (no
-        #: evidence); lets update_cpds re-multiply only touched cliques
-        self._cpd_products: Optional[List[Factor]] = None
-        #: compiled propagation engine (schedule + preallocated buffers);
-        #: built lazily on first calibration when ``engine`` is True.
-        #: ``engine=False`` keeps the Factor-based reference path, used
-        #: by tests and benchmarks as the slow oracle.
-        self._use_engine = engine
+        #: the compiled propagation engine (schedule + preallocated
+        #: buffers), built by the first CPD install and rebuilt whenever
+        #: the batch size or dtype changes
         self._engine: Optional[PropagationEngine] = None
+        #: cliques whose shared potential (CPD product times evidence)
+        #: changed since the engine installed it
+        self._stale: Set[int] = set()
+        #: cliques holding per-scenario stacks from the last install
+        self._stacked: Set[int] = set()
+        #: fold order of each clique's batched potential, keyed by the
+        #: clique's install structure (see _clique_cpd_product_batch)
+        self._fold_plans: Dict[tuple, list] = {}
         #: message-kernel mode handed to the schedule ("auto" | "dense"
         #: | "sparse"; see :class:`PropagationSchedule`)
         self._kernel = kernel
@@ -125,14 +140,10 @@ class JunctionTree:
         #: nodes whose CPDs once violated their recorded support; they
         #: never contribute masks again (treated as free tables).
         self._mask_exclude: Set[str] = set()
-        #: shared immutable message schedule (built on first engine use;
-        #: serves both the single-query and the batched engine)
+        #: shared immutable message schedule (built on first engine use)
         self._schedule: Optional[PropagationSchedule] = None
-        #: batched engine for multi-scenario sweeps (built lazily by
-        #: update_cpds_batch; dropped whenever the shared potentials it
-        #: snapshot change, and excluded from pickles)
-        self._batch_engine: Optional[PropagationEngine] = None
-        self._init_potentials()
+        if not engine:
+            self._init_potentials()
 
     # ------------------------------------------------------------------
     # Construction
@@ -257,46 +268,71 @@ class JunctionTree:
     def _clique_cpd_product_batch(
         self, idx: int, overrides: Mapping[str, Sequence[TabularCPD]], k: int
     ) -> np.ndarray:
-        """Batched clique-``idx`` CPD product, ready for
+        """Batched clique-``idx`` potential, ready for
         :meth:`PropagationEngine.set_potential_batch`.
 
-        For a dense clique this is a ``(K, *clique_shape)`` stack whose
-        slice ``k`` is bitwise-identical to what
-        :meth:`_clique_cpd_product` would compute with scenario ``k``'s
-        CPDs swapped in.  For a clique the schedule packs it is the
-        packed ``(K, nnz)`` stack: the same entries at the support
+        The product of the clique's CPD factors -- with scenario ``k``'s
+        ``overrides`` swapped in -- times the indicators of any evidence
+        homed at the clique.  For a dense clique this is a
+        ``(K, *clique_shape)`` stack; for a clique the schedule packs it
+        is the packed ``(K, nnz)`` stack: the same entries at the support
         coordinates ``sp.flat_idx``, built without the dense table.
 
-        Bitwise equality holds because the fold order is planned with a
-        *per-scenario* size key (a stacked factor counts as its
-        unbatched size), so the batched fold multiplies the same factors
-        in the same order as any single scenario's fold, and every
-        multiply is elementwise over broadcast views.  The packed fold
-        gathers each factor at the support coordinates first and then
-        runs the same left fold, so every kept entry is the same chain
-        of IEEE multiplies over the same operands.
+        Rows agree bitwise across ``K`` because the fold order is
+        planned with a *per-scenario* size key (a stacked factor counts
+        as its unbatched size), so every scenario's row multiplies the
+        same factors in the same order, and every multiply is
+        elementwise over broadcast views.  The packed fold gathers each
+        factor at the support coordinates first and then runs the same
+        left fold, so every kept entry is the same chain of IEEE
+        multiplies over the same operands.
         """
         order = tuple(sorted(self.cliques[idx]))
         shape = tuple(self._cardinalities[v] for v in order)
-        base = Factor.uniform(order, shape)
-        factors: List[Factor] = [base]
-        for node in self._cpd_members[idx]:
-            cpds = overrides.get(node)
-            if cpds is None:
-                factors.append(self._bn.cpd(node).to_factor())
-            else:
-                # update_cpds_batch holds every scenario to scenario 0's
-                # parents, so all K tables share one axis order.
-                first = cpds[0].to_factor()
-                stacked = np.stack([c.to_factor().values for c in cpds])
-                factors.append(
-                    Factor._unsafe((_BATCH_AXIS,) + first.variables, stacked)
+
+        def factor_at(slot) -> Factor:
+            if slot is None:  # all-ones base over the clique's scope
+                return Factor.uniform(order, shape)
+            if isinstance(slot, tuple):  # evidence indicator
+                var = slot[0]
+                return Factor.indicator(
+                    var, self._cardinalities[var], self._evidence[var]
                 )
+            cpds = overrides.get(slot)
+            if cpds is None:
+                return self._bn.cpd(slot).to_factor()
+            # update_cpds_batch holds every scenario to scenario 0's
+            # parents, so all K tables share one axis order.
+            stacked = np.array([cpd.to_factor().values for cpd in cpds])
+            return Factor._unsafe(
+                (_BATCH_AXIS,) + cpds[0].to_factor().variables, stacked
+            )
 
-        def per_scenario_size(factor: Factor) -> int:
-            return factor.size // k if _BATCH_AXIS in factor else factor.size
+        # Which factors the fold keeps, and in what order, depends only
+        # on the clique's structure: sizes are fixed by the compile, and
+        # a CPD is all-ones exactly when its variable has one state (its
+        # columns sum to 1), whatever values update_cpds swaps in.  So
+        # the fold is planned on the first install of each structure
+        # and replayed after that.
+        evidence = tuple(
+            (var,) for var in self._evidence if self._home_clique[var] == idx
+        )
+        key = (idx, tuple(overrides), evidence)
+        plan = self._fold_plans.get(key)
+        if plan is None:
+            slots = [None, *self._cpd_members[idx], *evidence]
+            factors = [factor_at(slot) for slot in slots]
 
-        keep = plan_product(factors, size_key=per_scenario_size)
+            def per_scenario_size(factor: Factor) -> int:
+                return factor.size // k if _BATCH_AXIS in factor else factor.size
+
+            keep = plan_product(factors, size_key=per_scenario_size)
+            self._fold_plans[key] = [
+                next(s for s, f in zip(slots, factors) if f is factor)
+                for factor in keep
+            ]
+        else:
+            keep = [factor_at(slot) for slot in plan]
         batched = any(_BATCH_AXIS in factor for factor in keep)
         sp = self._ensure_schedule().sparse_cliques.get(idx)
         if sp is not None:
@@ -326,9 +362,11 @@ class JunctionTree:
         return np.broadcast_to(result.permute(order).values, (k,) + shape)
 
     def _clique_potential(self, idx: int) -> Factor:
-        """Initial potential of clique ``idx``: its CPD product times
+        """Shared potential of clique ``idx``: its CPD product times
         the evidence indicators of variables homed there."""
         potential = self._cpd_products[idx]
+        if potential is None:
+            potential = self._cpd_products[idx] = self._clique_cpd_product(idx)
         for var, state in self._evidence.items():
             if self._home_clique[var] == idx:
                 indicator = Factor.indicator(var, self._cardinalities[var], state)
@@ -336,100 +374,82 @@ class JunctionTree:
         return potential
 
     def _init_potentials(self) -> None:
-        """(Re)build clique potentials from cached CPD products plus the
-        current evidence, and reset all separators."""
-        if self._cpd_products is None:
-            self._cpd_products = [
-                self._clique_cpd_product(idx) for idx in range(len(self.cliques))
-            ]
-        self._potentials = list(self._cpd_products)
-        for var, state in self._evidence.items():
-            idx = self._home_clique[var]
-            indicator = Factor.indicator(var, self._cardinalities[var], state)
-            self._potentials[idx] = self._potentials[idx].product(indicator)
+        """Factor path: (re)build clique potentials from the cached CPD
+        products plus the current evidence, and reset all separators."""
+        self._potentials = [
+            self._clique_potential(idx) for idx in range(len(self.cliques))
+        ]
         self._separators = {}
         for u, v in self.tree.edges:
-            sep = self.cliques[u] & self.cliques[v]
+            sep = sorted(self.cliques[u] & self.cliques[v])
             self._separators[frozenset((u, v))] = Factor.uniform(
-                sorted(sep), [self._cardinalities[x] for x in sorted(sep)]
+                sep, [self._cardinalities[x] for x in sep]
             )
         self._calibrated = False
-        # The batched engine snapshots the shared CPD products; any
-        # reset invalidates that snapshot.
-        self._batch_engine = None
-        if self._engine is not None:
-            # Full reset requested (new evidence set, bench reruns, ...):
-            # push every potential and mark everything dirty.
-            self._engine.mark_all_dirty()
-            for idx in range(len(self.cliques)):
-                self._engine.set_potential(idx, self._potentials[idx])
 
-    def _mark_cliques_dirty(self, indices: Iterable[int]) -> None:
-        """Refresh the engine potentials of the given cliques only.
-
-        This is the dirty-clique fast path: the next calibration
-        re-propagates just the messages the changes can reach instead of
-        resetting every potential and separator.
-        """
-        for idx in set(indices):
-            potential = self._clique_potential(idx)
-            self._potentials[idx] = potential
-            self._engine.set_potential(idx, potential)
-        self._calibrated = False
-        self._batch_engine = None
+    def _touch(self, cliques: Iterable[int]) -> None:
+        """Record that the shared potentials of ``cliques`` changed: the
+        engine reinstalls them at its next install (skipping values that
+        turn out unchanged); the Factor path resets."""
+        if self._use_engine:
+            self._stale.update(cliques)
+        else:
+            self._init_potentials()
 
     # ------------------------------------------------------------------
     # Evidence & CPD updates
     # ------------------------------------------------------------------
 
     def set_evidence(self, evidence: Mapping[str, int]) -> None:
-        """Fix observed states; takes effect at the next calibration."""
+        """Fix observed states; takes effect at the next calibration.
+
+        On the compiled engine evidence is part of the K=1 install
+        (:meth:`calibrate`); :meth:`update_cpds_batch` rejects it for
+        K > 1.
+        """
         for var, state in evidence.items():
             if var not in self._cardinalities:
                 raise KeyError(f"unknown variable {var!r}")
             if not 0 <= state < self._cardinalities[var]:
                 raise ValueError(f"state {state} out of range for {var!r}")
         self._evidence.update(evidence)
-        if self._engine is not None:
-            self._mark_cliques_dirty(
-                self._home_clique[var] for var in evidence
-            )
-        else:
-            self._init_potentials()
+        self._touch(self._home_clique[var] for var in evidence)
 
     def clear_evidence(self) -> None:
         cleared = list(self._evidence)
         self._evidence = {}
-        if self._engine is not None:
-            self._mark_cliques_dirty(self._home_clique[var] for var in cleared)
-        else:
-            self._init_potentials()
+        self._touch(self._home_clique[var] for var in cleared)
+
+    def _check_cpd(self, cpd: TabularCPD) -> None:
+        """Reject a replacement CPD that changes the compiled structure."""
+        if cpd.variable not in self._cpd_assignment:
+            raise KeyError(f"unknown node {cpd.variable!r}")
+        old = self._bn.cpd(cpd.variable)
+        if tuple(cpd.parents) != tuple(old.parents):
+            raise ValueError(
+                f"new CPD for {cpd.variable!r} changes parents "
+                f"{old.parents} -> {cpd.parents}; recompile instead"
+            )
+        if cpd.cardinality != old.cardinality:
+            raise ValueError(f"new CPD for {cpd.variable!r} changes cardinality")
 
     def update_cpds(self, cpds: Iterable[TabularCPD]) -> None:
-        """Swap in new CPDs (same structure) without recompiling.
+        """Swap new CPDs (same structure) into the network without
+        recompiling; the next calibration re-propagates only what the
+        changed cliques can reach.
 
-        This is the paper's fast re-propagation path: changing the input
-        statistics of a compiled circuit only replaces root CPDs, then
-        recalibrates.
+        The changed cliques' CPD products are rebuilt lazily, by the
+        first install that needs them as shared potentials: a
+        :meth:`update_cpds_batch` that overrides the same CPDs never
+        does.
         """
         cpds = list(cpds)
         for cpd in cpds:
-            if cpd.variable not in self._cpd_assignment:
-                raise KeyError(f"unknown node {cpd.variable!r}")
-            old = self._bn.cpd(cpd.variable)
-            if tuple(cpd.parents) != tuple(old.parents):
-                raise ValueError(
-                    f"new CPD for {cpd.variable!r} changes parents "
-                    f"{old.parents} -> {cpd.parents}; recompile instead"
-                )
-            if cpd.cardinality != old.cardinality:
-                raise ValueError(f"new CPD for {cpd.variable!r} changes cardinality")
+            self._check_cpd(cpd)
             self._bn._cpds[cpd.variable] = cpd
-        # Re-multiply only the cliques whose assigned CPDs changed.
         affected = {self._cpd_assignment[c.variable] for c in cpds}
-        if self._cpd_products is not None:
-            for idx in affected:
-                self._cpd_products[idx] = self._clique_cpd_product(idx)
+        for idx in affected:
+            self._cpd_products[idx] = None
         if self._mask_supports and self._supports_violated(cpds):
             # A replacement CPD put mass outside the support its old
             # deterministic table promised (e.g. a gate CPD swapped for
@@ -438,13 +458,11 @@ class JunctionTree:
             # state; the next calibration re-analyzes without the
             # offending node's mask.
             self._invalidate_compiled()
-        elif self._engine is not None and self._cpd_products is not None:
-            self._mark_cliques_dirty(affected)
         else:
-            self._init_potentials()
+            self._touch(affected)
 
     # ------------------------------------------------------------------
-    # Batched multi-scenario propagation
+    # Batched multi-scenario propagation (the engine's only entry)
     # ------------------------------------------------------------------
 
     def update_cpds_batch(
@@ -455,16 +473,19 @@ class JunctionTree:
         ``cpd_sets[k]`` plays the role of :meth:`update_cpds`'s argument
         for scenario ``k``; every scenario must update the same
         variables (with unchanged parents and cardinality).  Unlike
-        :meth:`update_cpds` this mutates neither the underlying network
-        nor the single-query engine: scenarios live only in a lazily
-        built batched engine, whose dirty tracking is shared across the
-        batch (only the updated cliques' potentials differ per
-        scenario).  Returns K.  Query results with
+        :meth:`update_cpds` this does not mutate the underlying network:
+        scenarios live only in the engine, whose dirty tracking is
+        shared across the batch (only the updated cliques' potentials
+        differ per scenario; every other clique holds the network's
+        shared potential).  Returns K.  Query results with
         :meth:`marginals_batch` / :meth:`joint_marginal_batch`.
 
-        ``dtype="float32"`` builds the batched engine with float32
-        buffers: half the ``K x`` memory and faster memory-bound sweeps,
-        at a ~``1e-6`` relative tolerance versus float64 (see
+        Evidence joins a K=1 install (its indicators multiply into their
+        home cliques' potentials) and is rejected for K > 1.
+
+        ``dtype="float32"`` builds the engine with float32 buffers: half
+        the ``K x`` memory and faster memory-bound sweeps, at a
+        ~``1e-6`` relative tolerance versus float64 (see
         :class:`~repro.bayesian.propagation.PropagationEngine`).
         """
         sets = [list(s) for s in cpd_sets]
@@ -474,29 +495,18 @@ class JunctionTree:
             raise JunctionTreeError(
                 "batched propagation requires the compiled engine"
             )
-        if self._evidence:
+        k = len(sets)
+        if self._evidence and k > 1:
             raise JunctionTreeError(
                 "batched propagation does not support evidence"
             )
-        k = len(sets)
         variables = [cpd.variable for cpd in sets[0]]
         by_var: Dict[str, List[TabularCPD]] = {v: [] for v in variables}
         # Deep-validate scenario 0 against the network, then hold the
         # other K-1 scenarios to scenario 0's structure (cheap tuple and
         # shape compares instead of K network lookups per variable).
         for cpd in sets[0]:
-            if cpd.variable not in self._cpd_assignment:
-                raise KeyError(f"unknown node {cpd.variable!r}")
-            old = self._bn.cpd(cpd.variable)
-            if tuple(cpd.parents) != tuple(old.parents):
-                raise ValueError(
-                    f"new CPD for {cpd.variable!r} changes parents "
-                    f"{old.parents} -> {cpd.parents}; recompile instead"
-                )
-            if cpd.cardinality != old.cardinality:
-                raise ValueError(
-                    f"new CPD for {cpd.variable!r} changes cardinality"
-                )
+            self._check_cpd(cpd)
             by_var[cpd.variable].append(cpd)
         for cpds in sets[1:]:
             if [cpd.variable for cpd in cpds] != variables:
@@ -522,18 +532,25 @@ class JunctionTree:
             self._invalidate_compiled()
 
         schedule = self._ensure_schedule()
-        if (
-            self._batch_engine is None
-            or self._batch_engine.batch_size != k
-            or self._batch_engine.dtype != np.dtype(dtype)
-        ):
-            engine = PropagationEngine(schedule, batch_size=k, dtype=dtype)
-            for idx in range(len(self.cliques)):
-                # Gate-clique tables are identical across scenarios and
-                # broadcast over the batch axis.
-                engine.set_potential(idx, self._cpd_products[idx])
-            self._batch_engine = engine
         affected = {self._cpd_assignment[v] for v in variables}
+        engine = self._engine
+        if (
+            engine is None
+            or engine.batch_size != k
+            or engine.dtype != np.dtype(dtype)
+        ):
+            engine = self._engine = PropagationEngine(
+                schedule, batch_size=k, dtype=dtype
+            )
+            shared = set(range(len(self.cliques)))
+        else:
+            shared = self._stale | self._stacked
+        # Cliques no scenario overrides hold the network's shared
+        # potential, broadcast over the batch axis.
+        for idx in sorted(shared - affected):
+            engine.set_potential(idx, self._clique_potential(idx))
+        self._stale.clear()
+        self._stacked = affected
         for idx in sorted(affected):
             overrides = {
                 node: by_var[node]
@@ -541,7 +558,7 @@ class JunctionTree:
                 if node in by_var
             }
             stacked = self._clique_cpd_product_batch(idx, overrides, k)
-            self._batch_engine.set_potential_batch(idx, stacked)
+            engine.set_potential_batch(idx, stacked)
         return k
 
     def marginals_batch(
@@ -550,14 +567,13 @@ class JunctionTree:
         """Posterior marginals of the installed scenario batch.
 
         Returns ``{var: (K, card) array}``; row ``k`` is scenario
-        ``k``'s marginal, bitwise-identical to what K independent
-        single-query propagations would produce (see
-        :mod:`repro.bayesian.propagation`).  Requires a prior
-        :meth:`update_cpds_batch`.  ``skip_zero=True`` NaN-fills rows of
-        zero-mass scenarios instead of raising, isolating them from
-        their batch-mates.
+        ``k``'s marginal, bitwise-identical to a K=1 propagation of that
+        scenario alone (see :mod:`repro.bayesian.propagation`).
+        Requires a prior :meth:`update_cpds_batch`.  ``skip_zero=True``
+        NaN-fills rows of zero-mass scenarios instead of raising,
+        isolating them from their batch-mates.
         """
-        engine = self._require_batch_engine()
+        engine = self._require_engine()
         engine.propagate()
         return engine.marginals(variables, skip_zero=skip_zero)
 
@@ -565,24 +581,28 @@ class JunctionTree:
         """Batched joint posterior of variables sharing a clique: a
         ``(K, card_1, ..., card_m)`` array in the order of
         ``variables``.  See :meth:`joint_marginal`."""
-        engine = self._require_batch_engine()
+        engine = self._require_engine()
         engine.propagate()
+        idx = self._clique_containing(variables)
+        return engine.joint_marginal(idx, list(variables))
+
+    def _clique_containing(self, variables: Sequence[str]) -> int:
         wanted = set(variables)
         for idx, clique in enumerate(self.cliques):
             if wanted <= clique:
-                return engine.joint_marginal(idx, list(variables))
+                return idx
         raise JunctionTreeError(f"no clique jointly contains {sorted(wanted)}")
 
-    def _require_batch_engine(self) -> PropagationEngine:
-        if self._batch_engine is None:
+    def _require_engine(self) -> PropagationEngine:
+        if self._engine is None:
             raise JunctionTreeError(
                 "no scenario batch installed; call update_cpds_batch first"
             )
-        return self._batch_engine
+        return self._engine
 
     def _ensure_schedule(self) -> PropagationSchedule:
-        """Build (once) the immutable message schedule shared by the
-        single-query and batched engines.  Non-dense kernel modes run
+        """Build (once) the immutable message schedule shared by engines
+        of every batch size.  Non-dense kernel modes run
         the support analysis here, so it is paid once per compile and
         serializes with the tree (cache hits skip it entirely)."""
         if self._schedule is None:
@@ -668,19 +688,13 @@ class JunctionTree:
         return violated
 
     def _invalidate_compiled(self) -> None:
-        """Drop the compiled schedule and engines (support masks went
-        stale) and restore initial potentials for a fresh calibration.
-
-        The potential rebuild is load-bearing: after a calibration
-        ``self._potentials`` are belief *views* over the dropped
-        engine's buffers, and seeding a new engine with beliefs instead
-        of initial potentials would square the evidence.
-        """
+        """Drop the compiled schedule and engine (support masks went
+        stale); the next install rebuilds both from the network."""
         self._schedule = None
         self._engine = None
-        self._batch_engine = None
+        self._stale.clear()
+        self._stacked = set()
         self._mask_supports = {}
-        self._init_potentials()
 
     def _publish_support_gauges(self) -> None:
         """Export the schedule's support analysis to the metrics registry."""
@@ -728,10 +742,12 @@ class JunctionTree:
         }
 
     def __getstate__(self):
-        # The batched engine is a per-sweep cache keyed by batch size;
-        # rebuilding it is cheap and keeps artifacts K-independent.
+        # The engine is a per-query cache keyed by batch size; rebuilding
+        # it is cheap and keeps artifacts K-independent.
         state = dict(self.__dict__)
-        state["_batch_engine"] = None
+        state["_engine"] = None
+        state["_stale"] = set()
+        state["_stacked"] = set()
         return state
 
     # ------------------------------------------------------------------
@@ -741,14 +757,16 @@ class JunctionTree:
     def calibrate(self) -> None:
         """Run collect + distribute over every tree component.
 
-        With the compiled engine (the default) this propagates over the
-        precomputed schedule, re-running only messages reachable from
-        dirty cliques; a calibrated tree with no pending changes is a
-        no-op.  With ``engine=False`` it runs the Factor-based reference
-        message passes.
+        With the compiled engine (the default) this is a K=1
+        :meth:`update_cpds_batch` of the network's current CPDs (plus
+        any evidence) followed by a propagation that re-runs only the
+        messages reachable from changed cliques; with nothing changed it
+        is a no-op.  With ``engine=False`` it runs the Factor-based
+        reference message passes.
         """
         if self._use_engine:
-            self._calibrate_engine()
+            self.update_cpds_batch([[]])
+            self._engine.propagate()
             return
         seen: Set[int] = set()
         for root in self.tree.nodes:
@@ -764,28 +782,6 @@ class JunctionTree:
             for node, parent in component_order:
                 if parent is not None:
                     self._pass_message(parent, node)
-        self._calibrated = True
-
-    def _calibrate_engine(self) -> None:
-        """Propagate via the compiled schedule (built on first use)."""
-        if self._engine is None:
-            schedule = self._ensure_schedule()
-            self._engine = PropagationEngine(schedule)
-            for idx in range(len(self.cliques)):
-                self._engine.set_potential(idx, self._potentials[idx])
-            registry = get_metrics()
-            if registry.enabled:
-                registry.gauge("engine.factor_bytes.peak").set_max(
-                    self._engine.factor_bytes
-                )
-        self._engine.propagate()
-        # Beliefs are views over the engine's preallocated buffers; the
-        # Factor wrappers are stable across propagations.
-        self._potentials = self._engine.belief_factors()
-        self._separators = {
-            frozenset((u, v)): self._engine.separator_factor(u, v)
-            for u, v in self.tree.edges
-        }
         self._calibrated = True
 
     def _dfs_order(self, root: int) -> List[Tuple[int, Optional[int]]]:
@@ -818,33 +814,31 @@ class JunctionTree:
     # ------------------------------------------------------------------
 
     def _require_calibration(self) -> None:
-        if not self._calibrated:
+        if self._use_engine or not self._calibrated:
             self.calibrate()
 
     def marginal(self, variable: str) -> np.ndarray:
         """Posterior marginal ``P(variable | evidence)`` as a vector."""
-        self._require_calibration()
-        if self._engine is not None:
-            return self._engine.marginals([variable])[variable]
-        idx = self._home_clique.get(variable)
-        if idx is None:
-            raise KeyError(f"unknown variable {variable!r}")
-        factor = self._potentials[idx].marginal_onto([variable])
-        return factor.normalize().values
+        return self.marginals([variable])[variable]
 
     def marginals(self, variables: Sequence[str]) -> Dict[str, np.ndarray]:
-        """Posterior marginals of many variables in one batched sweep.
+        """Posterior marginals of many variables in one sweep.
 
-        Variables sharing a home clique are extracted together: the
-        clique belief is normalized once and swept with one einsum per
-        variable, instead of one ``marginal_onto`` + ``normalize`` pair
-        per variable.  Equivalent to ``{v: jt.marginal(v) for v in
-        variables}`` but substantially faster for full-circuit reads.
+        On the compiled engine this reads row 0 of the K=1 install
+        (variables sharing a home clique are extracted together, with
+        one reduction per clique).
         """
         self._require_calibration()
-        if self._engine is not None:
-            return self._engine.marginals(variables)
-        return {v: self.marginal(v) for v in variables}
+        if self._use_engine:
+            return {v: m[0] for v, m in self._engine.marginals(variables).items()}
+        out = {}
+        for variable in variables:
+            idx = self._home_clique.get(variable)
+            if idx is None:
+                raise KeyError(f"unknown variable {variable!r}")
+            factor = self._potentials[idx].marginal_onto([variable])
+            out[variable] = factor.normalize().values
+        return out
 
     def joint_marginal(self, variables: Sequence[str]) -> Factor:
         """Joint posterior of variables that share a clique.
@@ -853,13 +847,26 @@ class JunctionTree:
         them (an arbitrary joint would require out-of-clique inference;
         use :func:`repro.bayesian.elimination.variable_elimination`).
         """
+        idx = self._clique_containing(variables)
         self._require_calibration()
-        wanted = set(variables)
-        for idx, clique in enumerate(self.cliques):
-            if wanted <= clique:
-                factor = self._potentials[idx].marginal_onto(list(wanted))
-                return factor.normalize().permute(list(variables))
-        raise JunctionTreeError(f"no clique jointly contains {sorted(wanted)}")
+        if self._use_engine:
+            joint = self._engine.joint_marginal(idx, list(variables))[0]
+            return Factor._unsafe(tuple(variables), np.ascontiguousarray(joint))
+        factor = self._potentials[idx].marginal_onto(list(set(variables)))
+        return factor.normalize().permute(list(variables))
+
+    def clique_belief(self, idx: int) -> Factor:
+        """Calibrated belief of clique ``idx`` as a dense Factor.
+
+        On the compiled engine this is row 0 of the K=1 install, built
+        on demand (packed beliefs are scattered onto zeros).
+        """
+        self._require_calibration()
+        if self._use_engine:
+            return Factor._unsafe(
+                self._schedule.orders[idx], self._engine.belief(idx)
+            )
+        return self._potentials[idx]
 
     def probability_of_evidence(self) -> float:
         """P(evidence); 1.0 when no evidence is set.
@@ -873,7 +880,7 @@ class JunctionTree:
             if root in seen:
                 continue
             seen.update(node for node, _ in self._dfs_order(root))
-            prob *= self._potentials[root].total()
+            prob *= self.clique_belief(root).total()
         return float(prob)
 
     # ------------------------------------------------------------------
@@ -899,44 +906,40 @@ class JunctionTree:
         """Verify neighbouring cliques agree on their separators."""
         self._require_calibration()
         for u, v in self.tree.edges:
-            sep_vars = self._separators[frozenset((u, v))].variables
-            mu = self._potentials[u].marginal_onto(sep_vars)
-            mv = self._potentials[v].marginal_onto(sep_vars)
+            sep_vars = sorted(self.cliques[u] & self.cliques[v])
+            mu = self.clique_belief(u).marginal_onto(sep_vars)
+            mv = self.clique_belief(v).marginal_onto(sep_vars)
             if not mu.allclose(mv, atol=atol):
                 return False
         return True
 
     def propagation_counters(self) -> PropagationCounters:
-        """Cumulative engine work counters (zeros before first calibration
-        or on the ``engine=False`` reference path).
-
-        With only one engine alive (the common case) this returns the
-        live counters object; with both a single-query and a batched
-        engine it returns a combined snapshot.
-        """
-        if self._batch_engine is None:
-            if self._engine is not None:
-                return self._engine.counters
-            return PropagationCounters()
+        """Cumulative work counters of the current engine (zeros before
+        the first install or on the ``engine=False`` reference path)."""
         if self._engine is None:
-            return self._batch_engine.counters
-        combined = PropagationCounters()
-        combined.add(self._engine.counters)
-        combined.add(self._batch_engine.counters)
-        return combined
+            return PropagationCounters()
+        return self._engine.counters
 
     def engine_factor_bytes(self) -> int:
-        """Bytes held by the engines' preallocated belief/message/scratch
-        buffers (0 before first calibration or with ``engine=False``).
-        A batched engine contributes ``K x`` the single-query footprint."""
-        total = self._engine.factor_bytes if self._engine is not None else 0
-        if self._batch_engine is not None:
-            total += self._batch_engine.factor_bytes
-        return total
+        """Bytes held by the engine's preallocated belief/message/scratch
+        buffers (0 before the first install or with ``engine=False``).
+        A K-scenario engine holds ``K x`` the K=1 footprint."""
+        return self._engine.factor_bytes if self._engine is not None else 0
+
+    def reset_propagation(self) -> None:
+        """Mark every clique dirty so the next propagation is a full pass."""
+        if self._engine is not None:
+            self._engine.mark_all_dirty()
+
+    def _clique_sizes(self) -> List[int]:
+        return [
+            int(np.prod([self._cardinalities[v] for v in clique]))
+            for clique in self.cliques
+        ]
 
     def max_clique_size(self) -> int:
         """State-space size of the largest clique table."""
-        return max(p.size for p in self._potentials) if self._potentials else 0
+        return max(self._clique_sizes(), default=0)
 
     def stats(self) -> Dict[str, float]:
         """Structure statistics for reports."""
@@ -945,7 +948,7 @@ class JunctionTree:
             "max_clique_vars": max((len(c) for c in self.cliques), default=0),
             "max_clique_states": self.max_clique_size(),
             "fill_ins": len(self.fill_ins),
-            "total_table_entries": sum(p.size for p in self._potentials),
+            "total_table_entries": sum(self._clique_sizes()),
         }
 
     def __repr__(self) -> str:

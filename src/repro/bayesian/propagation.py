@@ -9,11 +9,8 @@ half of that bargain real:
 - :class:`PropagationSchedule` is computed once per junction tree.  It
   fixes the collect/distribute message order, canonicalizes every
   clique's variable order, and precomputes, per directed message, the
-  einsum axis lists and broadcast shapes that the naive
+  reduction kernels and broadcast shapes that the naive
   :meth:`Factor._expand_to` path re-derives on every single message.
-  The axis metadata comes in two flavors -- plain and with a leading
-  batch label -- so one schedule serves both single-query and batched
-  engines.
 
 - :class:`PropagationEngine` owns preallocated clique belief buffers
   and separator message buffers and runs the Hugin update with in-place
@@ -22,12 +19,13 @@ half of that bargain real:
   0/0 = 0 division mask is applied with ``np.divide(..., where=)`` on
   separator-sized arrays only (never on clique tables).
 
-- **Batched propagation**: an engine built with ``batch_size=K`` grows
-  every belief/message buffer by a leading ``K`` axis and propagates K
-  independent input-statistics scenarios in one vectorized
-  collect/distribute pass.  Clique potentials may be shared across the
-  batch (gate CPDs -- a plain ``(*clique_shape)`` array broadcast over
-  the batch axis) or per-scenario (:meth:`set_potential_batch` with a
+- **Batched propagation**: every engine carries a leading batch axis of
+  length ``batch_size=K`` (default 1) on every belief/message buffer
+  and propagates K independent input-statistics scenarios in one
+  vectorized collect/distribute pass; a single query is simply a K=1
+  batch.  Clique potentials may be shared across the batch (gate CPDs
+  -- a plain ``(*clique_shape)`` array broadcast over the batch axis)
+  or per-scenario (:meth:`set_potential_batch` with a
   ``(K, *clique_shape)`` stack).  Dirty tracking stays shared across
   the batch: only input-clique potentials differ per scenario, so a
   sweep repropagates exactly the input-reachable subtree, batched.
@@ -52,13 +50,12 @@ times the probability of evidence -- identical, up to floating-point
 association order, to the Factor-based reference path in
 :mod:`repro.bayesian.junction`.
 
-Every batched kernel is elementwise or a reduction over non-batch axes,
-so batch element ``k`` of a batched propagation goes through exactly
-the same arithmetic, in the same order, as a single-query propagation
-over scenario ``k``'s potentials -- the results agree *bitwise*, not
-just to tolerance, whenever the two runs take the same dirty paths
-(e.g. both are first propagations, or every sweep updates the same
-cliques).
+Every kernel is elementwise or a reduction over non-batch axes, so
+batch element ``k`` of a K-scenario propagation goes through exactly
+the same arithmetic, in the same order, as a K=1 propagation over
+scenario ``k``'s potentials -- the results agree *bitwise*, not just to
+tolerance, whenever the two runs take the same dirty paths (e.g. both
+are first propagations, or every sweep updates the same cliques).
 
 - **Determinism-aware sparse kernels**: gate CPDs are 0/1 indicator
   tables, so most entries of a wide clique potential are *structurally*
@@ -71,7 +68,7 @@ cliques).
   indices, and separator marginals use a grouped ``np.add.reduceat``
   over index arrays instead of a dense einsum.  Separator buffers stay
   dense (they are small), so sparse and dense cliques mix freely in one
-  tree.  The packed kernels keep the batched/single bitwise-parity
+  tree.  The packed kernels keep the across-K bitwise-parity
   property above -- every gather is elementwise and every ``reduceat``
   segment sums left-to-right per batch row -- but sparse results differ
   from *dense* results in the last few ulps (different association
@@ -141,11 +138,11 @@ def _reduction_plan(shape: Tuple[int, ...], keep_axes: Sequence[int]):
       case, einsum over the merged (coarser) axes.
 
     Every kernel reduces batch slice ``k`` of a ``(K, *shape)`` buffer
-    with exactly the same arithmetic as an unbatched ``(*shape)``
-    reduction (the leading batch axis is always kept, so it merges into
-    -- or stacks ahead of -- the leading kept run), which is what keeps
-    batched and single-query propagation bitwise-identical.  Plans are
-    computed once per schedule and shared by both engine modes.
+    with exactly the same arithmetic whatever ``K`` is (the leading
+    batch axis is always kept, so it merges into -- or stacks ahead of
+    -- the leading kept run), which is what keeps a row of a K-scenario
+    propagation bitwise-identical to a K=1 propagation.  Plans are
+    computed once per schedule and shared by engines of every K.
     """
     keep = set(keep_axes)
     runs: List[List[int]] = []  # [is_kept, merged size]
@@ -178,10 +175,9 @@ def _reduction_plan(shape: Tuple[int, ...], keep_axes: Sequence[int]):
 def _reduce_sum(src: np.ndarray, plan, out: np.ndarray) -> None:
     """Run a :func:`_reduction_plan` kernel: sum ``src`` into ``out``.
 
-    Batch-agnostic: ``src``/``out`` may carry a leading batch axis or
-    not; the ``-1`` reshape folds it into the row dimension (or a
-    length-1 stack), so slice ``k`` goes through the identical BLAS or
-    einsum call a single-query engine issues.  Both arrays must be
+    Batch-agnostic: the ``-1`` reshape folds the leading batch axis
+    into the row dimension, so slice ``k`` goes through the identical
+    BLAS or einsum call for every ``K``.  Both arrays must be
     C-contiguous (all engine buffers are).
     """
     kind = plan[0]
@@ -262,9 +258,9 @@ def _sparse_reduce(
     ``plan`` comes from :func:`_sparse_reduce_plan`.  Infeasible target
     entries are zero-filled (they receive no mass by construction).
     Per-segment ``reduceat`` sums are sequential left-to-right per batch
-    row, so batch row ``k`` goes through exactly the arithmetic of an
-    unbatched reduce -- the engine's batched/single bitwise parity
-    survives the sparse path.  ``scratch`` (a ``lead + (nnz,)`` buffer)
+    row, so batch row ``k`` goes through the same arithmetic for every
+    ``K`` -- the engine's across-K bitwise parity survives the sparse
+    path.  ``scratch`` (a ``lead + (nnz,)`` buffer)
     avoids the gather temporary when a permutation is needed.
     """
     perm, seg_starts, out_index, covers_all = plan
@@ -329,8 +325,7 @@ class PropagationCounters:
     a breakdown) without the global metrics registry being enabled.
     ``flops`` is the standard table-touch estimate: one unit per entry
     of each clique table marginalized or multiplied, scaled by the
-    batch size for batched engines.  ``scenarios_propagated`` counts
-    one per propagation in single-query mode and ``K`` per batched
+    batch size.  ``scenarios_propagated`` counts ``K`` per
     propagation; ``potentials_unchanged`` counts ``set_potential``
     calls skipped because the new values equalled the installed ones.
     """
@@ -376,8 +371,8 @@ class _Message:
     """Precompiled metadata for one directed message u -> v.
 
     Holds no buffers: message storage lives on the engine so one
-    immutable schedule can be shared by a single-query engine and any
-    number of batched engines over the same tree.
+    immutable schedule can be shared by engines of any batch size over
+    the same tree.
     """
 
     __slots__ = (
@@ -413,7 +408,7 @@ class _Message:
         #: transpose.
         self.keep_axes = [source_order.index(v) for v in sep_vars]
         #: compiled reduction kernel (merged axes, BLAS where the
-        #: pattern allows); shared by single-query and batched engines.
+        #: pattern allows); shared by engines of every batch size.
         self.plan = _reduction_plan(source_shape, self.keep_axes)
         #: reshape that broadcasts a separator table against the target
         #: clique without any transpose (again: canonical orders).
@@ -449,7 +444,7 @@ class PropagationSchedule:
 
     The schedule is immutable once built and is shared by every
     :class:`PropagationEngine` propagation over the same tree,
-    single-query and batched alike.  Support analysis runs once here,
+    whatever its batch size.  Support analysis runs once here,
     so engines of any batch size (and pickled artifacts) reuse it.
     """
 
@@ -653,52 +648,41 @@ class PropagationEngine:
     schedule:
         The shared, immutable :class:`PropagationSchedule`.
     batch_size:
-        ``None`` (default) for the classic single-query engine.  An
-        integer ``K >= 1`` grows every belief and message buffer by a
-        leading batch axis of length ``K`` and propagates K scenarios
-        per :meth:`propagate` call.  In batched mode potentials may be
-        shared across the batch (:meth:`set_potential`, broadcast) or
-        per-scenario (:meth:`set_potential_batch`), and
-        :meth:`marginals` returns ``(K, card)`` arrays.
+        ``K >= 1`` (default 1): every belief and message buffer carries
+        a leading batch axis of length ``K`` and each :meth:`propagate`
+        call propagates K scenarios.  Potentials may be shared across
+        the batch (:meth:`set_potential`, broadcast) or per-scenario
+        (:meth:`set_potential_batch`), and :meth:`marginals` returns
+        ``(K, card)`` arrays.  A single query is a K=1 engine.
     dtype:
-        Buffer dtype, ``float64`` (default) or ``float32``.  Float32 is
-        an opt-in *batch-axis* mode -- it halves the ``K x`` buffer
-        footprint and speeds memory-bound sweeps at a documented
-        ~``1e-6`` relative tolerance -- and therefore requires a batched
-        engine; single-query engines stay float64.  Shared potentials
-        installed via :meth:`set_potential` remain float64 (ufunc
-        ``out=`` casting handles the mixed multiply), while per-scenario
-        stacks are cast on install.
+        Buffer dtype, ``float64`` (default) or ``float32``.  Float32
+        halves the ``K x`` buffer footprint and speeds memory-bound
+        sweeps at a documented ~``1e-6`` relative tolerance.  Shared
+        potentials installed via :meth:`set_potential` remain float64
+        (ufunc ``out=`` casting handles the mixed multiply), while
+        per-scenario stacks are cast on install.
 
     Cliques the schedule compiled as sparse keep their beliefs in
-    packed ``lead + (nnz,)`` buffers; separator messages stay dense.
-    A single-query engine additionally keeps a dense zero-padded mirror
-    of each packed belief (scattered after every propagation) so
-    :meth:`belief_factors` and the junction tree's Factor surface are
-    unchanged; a batched engine skips the mirrors entirely, which is
-    where the ``K x`` memory saving comes from.
+    packed ``(K, nnz)`` buffers; separator messages stay dense.
+    :meth:`belief` scatters one row back to a dense table on demand
+    (diagnostics only).
     """
 
     def __init__(
         self,
         schedule: PropagationSchedule,
-        batch_size: Optional[int] = None,
+        batch_size: int = 1,
         dtype=np.float64,
     ):
-        if batch_size is not None and batch_size < 1:
+        if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         dtype = np.dtype(dtype)
         if dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
             raise ValueError(f"unsupported engine dtype {dtype}")
-        if dtype != np.float64 and batch_size is None:
-            raise ValueError(
-                "dtype='float32' is a batch-axis mode; single-query engines "
-                "are always float64"
-            )
         self.schedule = schedule
-        self.batch_size = batch_size
+        self.batch_size = int(batch_size)
         self.dtype = dtype
-        lead: Tuple[int, ...] = () if batch_size is None else (int(batch_size),)
+        lead = (self.batch_size,)
         n = schedule.n_cliques
         packed = schedule.sparse_cliques
         self._psi: List[Optional[np.ndarray]] = [None] * n
@@ -722,16 +706,8 @@ class PropagationEngine:
         self._sp_scratch: Dict[int, np.ndarray] = {
             i: np.empty(lead + (sp.nnz,), dtype=dtype) for i, sp in packed.items()
         }
-        #: dense zero-padded mirrors of packed beliefs (single-query
-        #: mode only); out-of-support entries are written exactly once,
-        #: here, and stay zero forever.
-        self._dense_beta: Dict[int, np.ndarray] = (
-            {i: np.zeros(schedule.shapes[i]) for i in packed}
-            if batch_size is None
-            else {}
-        )
         #: per-edge reduction kernels (shared, batch-agnostic) and
-        #: broadcast shapes for this mode
+        #: broadcast shapes
         self._plans = {k: m.plan for k, m in schedule.messages.items()}
         if dtype != np.float64:
             self._plans = {k: _cast_plan(p, dtype) for k, p in self._plans.items()}
@@ -751,28 +727,11 @@ class PropagationEngine:
         #: counter totals already mirrored into the global registry
         self._published: Dict[str, int] = {}
         #: bytes held by the preallocated belief/message/scratch buffers
-        #: (including packed scratch and dense mirrors, so the reported
-        #: footprint matches what is actually allocated)
         self.factor_bytes = (
             sum(beta.nbytes for beta in self._beta)
             + sum(buf.nbytes for buf in self._msg.values())
             + sum(buf.nbytes for buf in self._scratch.values())
             + sum(buf.nbytes for buf in self._sp_scratch.values())
-            + sum(buf.nbytes for buf in self._dense_beta.values())
-        )
-        #: Factor views over the belief buffers (stable identity; the
-        #: arrays mutate in place across propagations).  Single-query
-        #: mode only: a batched belief is not a factor over the clique.
-        #: Sparse cliques expose their dense mirrors.
-        self._belief_factors: List[Factor] = (
-            [
-                Factor._unsafe(order, self._dense_beta.get(i, beta))
-                for i, (order, beta) in enumerate(
-                    zip(schedule.orders, self._beta)
-                )
-            ]
-            if batch_size is None
-            else []
         )
 
     def __getstate__(self):
@@ -796,8 +755,8 @@ class PropagationEngine:
 
         ``potential`` must span exactly the clique's scope; any axis
         order is accepted and canonicalized here (a transpose view, no
-        copy).  In batched mode the table is shared by every batch
-        element (it broadcasts over the batch axis) -- use
+        copy).  The table is shared by every batch element (it
+        broadcasts over the batch axis) -- use
         :meth:`set_potential_batch` for per-scenario tables.
 
         Setting values array-equal to the currently installed potential
@@ -836,12 +795,9 @@ class PropagationEngine:
         ``values[k]``.  On a clique the schedule packs, ``values`` may
         instead be the packed ``(K, nnz)`` stack (the entries at
         ``sparse_cliques[idx].flat_idx``, in packed order), which is
-        installed as-is; a dense stack is packed here.  Only valid on a
-        batched engine.  The same skip-if-unchanged rule as
-        :meth:`set_potential` applies.
+        installed as-is; a dense stack is packed here.  The same
+        skip-if-unchanged rule as :meth:`set_potential` applies.
         """
-        if self.batch_size is None:
-            raise RuntimeError("set_potential_batch requires a batched engine")
         values = np.asarray(values, dtype=self.dtype)
         expected = (self.batch_size,) + self.schedule.shapes[idx]
         sp = self.schedule.sparse_cliques.get(idx)
@@ -936,7 +892,7 @@ class PropagationEngine:
             else set(range(schedule.n_cliques))
         )
         counters = self.counters
-        scale = self.batch_size or 1
+        scale = self.batch_size
 
         # Which cliques rebuild during collect: a clique is up-dirty if
         # it is dirty itself or any child's upward message changed.
@@ -995,15 +951,6 @@ class PropagationEngine:
                     changed[node] = True
                     self._absorb_from_parent(node, parent, up[node])
 
-        # Single-query mode: scatter touched packed beliefs onto their
-        # dense mirrors so belief factors stay correct.  Out-of-support
-        # entries were zeroed at allocation and are never written.
-        for idx, dense in self._dense_beta.items():
-            if up[idx] or changed[idx]:
-                dense.reshape(-1)[
-                    schedule.sparse_cliques[idx].flat_idx
-                ] = self._beta[idx]
-
         self._dirty.clear()
         self._ever_propagated = True
         counters.propagations += 1
@@ -1038,7 +985,7 @@ class PropagationEngine:
             registry.counter(name).inc(total - published)
             self._published[name] = total
         registry.gauge("engine.factor_bytes.peak").set_max(self.factor_bytes)
-        registry.gauge("engine.batch_size.peak").set_max(self.batch_size or 1)
+        registry.gauge("engine.batch_size.peak").set_max(self.batch_size)
 
     def _absorb_from_parent(self, node: int, parent: int, rebuilt: bool) -> None:
         """Refresh the downward message parent -> node and absorb it."""
@@ -1049,7 +996,7 @@ class PropagationEngine:
         counters.messages_distribute += 1
         counters.flops += (
             schedule.work_sizes[parent] + schedule.work_sizes[node]
-        ) * (self.batch_size or 1)
+        ) * self.batch_size
 
         # marg(parent belief) onto the separator, then divide by the
         # upward message.  Wherever the upward message is zero the
@@ -1089,8 +1036,8 @@ class PropagationEngine:
             # A zero separator entry came back to life (e.g. an input
             # probability moved off 0): the belief's zero slice cannot
             # be rescaled, so rebuild it from psi and cached messages.
-            # In batched mode one resurrected element rebuilds the whole
-            # clique stack -- the rebuild is correct for every element.
+            # One resurrected batch element rebuilds the whole clique
+            # stack -- the rebuild is correct for every element.
             counters.zero_resurrections += 1
             down_values[...] = ratio
             self._seed_belief(node)
@@ -1151,23 +1098,21 @@ class PropagationEngine:
     # Results
     # ------------------------------------------------------------------
 
-    def belief_factors(self) -> List[Factor]:
-        """Calibrated clique beliefs as factors (views, not copies)."""
-        if self.batch_size is not None:
-            raise RuntimeError("belief factors are only available in single-query mode")
-        return list(self._belief_factors)
+    def belief(self, idx: int) -> np.ndarray:
+        """Batch row 0 of clique ``idx``'s belief as a dense table.
 
-    def separator_factor(self, u: int, v: int) -> Factor:
-        """Final separator marginal over edge ``{u, v}`` (fresh array)."""
-        if self.batch_size is not None:
-            raise RuntimeError(
-                "separator factors are only available in single-query mode"
-            )
-        sep_vars = self.schedule.messages[(u, v)].sep_vars
-        return Factor._unsafe(sep_vars, self._msg[(u, v)] * self._msg[(v, u)])
-
-    def clique_total(self, idx: int) -> float:
-        return float(self._beta[idx].sum())
+        A fresh array in the clique's canonical variable order; a packed
+        belief is scattered onto zeros (its out-of-support entries are
+        structurally zero).  Diagnostics only -- the propagation path
+        never materializes dense packed tables.
+        """
+        beta = self._beta[idx][0]
+        sp = self.schedule.sparse_cliques.get(idx)
+        if sp is None:
+            return beta.copy()
+        dense = np.zeros(self.schedule.sizes[idx], dtype=self.dtype)
+        dense[sp.flat_idx] = beta
+        return dense.reshape(self.schedule.shapes[idx])
 
     @_exclusive
     def marginals(
@@ -1180,13 +1125,11 @@ class PropagationEngine:
         and the (tiny) reduced table is then swept per variable, instead
         of one full-table einsum per variable.
 
-        In single-query mode the returned arrays have shape ``(card,)``.
-        On a batched engine they have shape ``(K, card)``, row ``k``
-        being scenario ``k``'s marginal.  Zero-mass beliefs raise
-        :class:`ZeroBeliefError`; on a batched engine the error carries
-        a ``batch_indices`` tuple naming the offending scenarios, and
-        ``skip_zero=True`` instead fills their rows with NaN so the
-        remaining scenarios are unaffected.
+        The returned arrays have shape ``(K, card)``, row ``k`` being
+        scenario ``k``'s marginal.  Zero-mass beliefs raise
+        :class:`ZeroBeliefError` carrying a ``batch_indices`` tuple that
+        names the offending scenarios; ``skip_zero=True`` instead fills
+        their rows with NaN so the remaining scenarios are unaffected.
         """
         schedule = self.schedule
         by_clique: Dict[int, List[str]] = {}
@@ -1195,43 +1138,34 @@ class PropagationEngine:
             if location is None:
                 raise KeyError(f"unknown variable {var!r}")
             by_clique.setdefault(location[0], []).append(var)
-        batched = self.batch_size is not None
+        k = self.batch_size
         out: Dict[str, np.ndarray] = {}
         for idx, group in by_clique.items():
             beta = self._beta[idx]
             ndim = len(schedule.shapes[idx])
             bad = None
-            if batched:
-                k = self.batch_size
-                totals = beta.reshape(k, -1).sum(axis=1)
-                zero = totals <= 0
-                if zero.any():
-                    if not skip_zero:
-                        indices = tuple(int(i) for i in np.nonzero(zero)[0])
-                        err = ZeroBeliefError(
-                            "cannot normalize a zero belief for batch "
-                            f"elements {list(indices)}"
-                        )
-                        err.batch_indices = indices
-                        raise err
-                    bad = zero
-                    totals = np.where(zero, 1.0, totals)
-            else:
-                total = beta.sum()
-                if total <= 0:
-                    raise ZeroBeliefError("cannot normalize a zero belief")
+            totals = beta.reshape(k, -1).sum(axis=1)
+            zero = totals <= 0
+            if zero.any():
+                if not skip_zero:
+                    indices = tuple(int(i) for i in np.nonzero(zero)[0])
+                    err = ZeroBeliefError(
+                        "cannot normalize a zero belief for batch "
+                        f"elements {list(indices)}"
+                    )
+                    err.batch_indices = indices
+                    raise err
+                bad = zero
+                totals = np.where(zero, 1.0, totals)
 
             sp = schedule.sparse_cliques.get(idx)
-            lead = (self.batch_size,) if batched else ()
             keep = sorted({schedule.variable_axis[v][1] for v in group})
             joint_shape = tuple(schedule.shapes[idx][a] for a in keep)
             if sp is None and len(keep) == ndim:
                 joint = beta
             else:
                 # A packed belief always reduces through the sparse
-                # kernel (even onto the full clique scope), in both
-                # engine modes, so single-query and batched marginals
-                # keep their bitwise parity.
+                # kernel, even onto the full clique scope.
                 plan_key = (idx, tuple(keep))
                 plan = self._marginal_plans.get(plan_key)
                 if plan is None:
@@ -1244,7 +1178,7 @@ class PropagationEngine:
                             sp.flat_idx, schedule.shapes[idx], keep, joint_shape
                         )
                     self._marginal_plans[plan_key] = plan
-                joint = np.empty(lead + joint_shape, dtype=self.dtype)
+                joint = np.empty((k,) + joint_shape, dtype=self.dtype)
                 if sp is None:
                     _reduce_sum(beta, plan, joint)
                 else:
@@ -1258,17 +1192,11 @@ class PropagationEngine:
                     if self.dtype != np.float64:
                         plan = _cast_plan(plan, self.dtype)
                     self._marginal_plans[plan_key] = plan
-                card = joint_shape[pos]
-                if batched:
-                    result = np.empty((self.batch_size, card), dtype=self.dtype)
-                    _reduce_sum(joint, plan, result)
-                    result /= totals[:, None]
-                    if bad is not None:
-                        result[bad] = np.nan
-                else:
-                    result = np.empty(card)
-                    _reduce_sum(joint, plan, result)
-                    result /= total
+                result = np.empty((k, joint_shape[pos]), dtype=self.dtype)
+                _reduce_sum(joint, plan, result)
+                result /= totals[:, None]
+                if bad is not None:
+                    result[bad] = np.nan
                 out[var] = result
         return out
 
@@ -1277,14 +1205,12 @@ class PropagationEngine:
         """Normalized joint over ``variables`` from clique ``idx``, batched.
 
         Returns a ``(K, card_1, ..., card_m)`` array whose slice ``k``
-        mirrors, bitwise, what the single-query reference path
+        mirrors what the Factor path
         (``Factor.marginal_onto(...).normalize().permute(variables)``)
         computes for scenario ``k``: the reduction uses ``ndarray.sum``
         over the dropped axes and a broadcast division by per-scenario
         totals, both elementwise-identical per batch element.
         """
-        if self.batch_size is None:
-            raise RuntimeError("joint_marginal requires a batched engine")
         order = self.schedule.orders[idx]
         wanted = set(variables)
         missing = wanted - set(order)
@@ -1296,8 +1222,8 @@ class PropagationEngine:
             # Scatter the packed belief to a dense stack, then reduce
             # with the same ``ndarray.sum`` the dense path uses -- this
             # is the slow Factor-compatible surface (segment boundary
-            # extraction), so bitwise parity with the reference path
-            # outranks avoiding one dense temporary.
+            # extraction), so matching the dense reduction outranks
+            # avoiding one dense temporary.
             dense = np.zeros(
                 (self.batch_size,) + self.schedule.shapes[idx], dtype=self.dtype
             )

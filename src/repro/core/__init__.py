@@ -12,7 +12,7 @@
 - :mod:`repro.core.estimator` -- the user-facing
   :class:`SwitchingActivityEstimator` with the compile-once /
   propagate-per-statistics split, plus the exact enumeration oracle.
-- :mod:`repro.core.segmentation` -- multiple-BN estimation of circuits
+- :mod:`repro.core.segments` -- multiple-BN estimation of circuits
   too large for a single junction tree (Section 6).
 """
 
@@ -30,7 +30,7 @@ from repro.core.inputs import (
 )
 from repro.core.lidag import build_lidag, lidag_node_ordering
 from repro.core.rcache import ResultCache, scenario_digest
-from repro.core.segmentation import SegmentedEstimator
+from repro.core.segments import SegmentedEstimator
 from repro.core.sequential import SequentialEstimate, SequentialSwitchingEstimator
 from repro.core.states import (
     N_STATES,

@@ -2,7 +2,7 @@
 
 Seven entry points used to be scattered across the codebase --
 :class:`~repro.core.estimator.SwitchingActivityEstimator`,
-:class:`~repro.core.segmentation.SegmentedEstimator`,
+:class:`~repro.core.segments.SegmentedEstimator`,
 :func:`~repro.core.estimator.exact_switching_by_enumeration`, and the
 four :mod:`repro.baselines` estimators.  They are all query strategies
 over the same LIDAG switching model (Tucci: even BDD-style evaluation
@@ -34,8 +34,8 @@ from repro.core.backend.base import Backend, CompiledModel, Method
 from repro.core.backend.errors import CliqueBudgetExceeded
 from repro.core.estimator import SwitchingActivityEstimator, SwitchingEstimate
 from repro.core.inputs import IndependentInputs, InputModel
+from repro.core.segments import SegmentedEstimator
 from repro.errors import ZeroBeliefError
-from repro.core.segmentation import SegmentedEstimator
 from repro.core.sweep import group_scenarios
 from repro.obs.trace import get_tracer
 
@@ -53,10 +53,11 @@ __all__ = [
 class EstimatorCompiledModel(CompiledModel):
     """Artifact wrapping a compiled estimator.
 
-    Works for every estimator exposing ``update_inputs``, ``estimate``
-    and ``estimate_many`` (single-BN, segmented, enumeration -- all
+    Works for every estimator exposing ``update_inputs`` and
+    ``estimate_many`` (single-BN, segmented, enumeration -- all
     deterministic, which is what lets :meth:`query_many` propagate
-    each distinct scenario once); the junction-tree
+    each distinct scenario once); :meth:`query` is a one-scenario
+    :meth:`query_many`.  The junction-tree
     structure, propagation schedules, and clique potentials pickle with
     the estimator, so a loaded artifact re-propagates without paying
     the compile again.
@@ -72,7 +73,7 @@ class EstimatorCompiledModel(CompiledModel):
         ):
             if inputs is not None:
                 self.estimator.update_inputs(inputs)
-            return self.estimator.estimate()
+            return self.query_many([self.estimator.input_model])[0]
 
     def query_many(
         self,
@@ -95,11 +96,10 @@ class EstimatorCompiledModel(CompiledModel):
         the propagation over all K caller scenarios.  A one-scenario
         sweep skips the digest.
 
-        ``batch_size`` caps the representatives per pass -- batched
-        propagation memory is ``batch_size x`` the single-query engine
-        footprint.  ``dtype="float32"`` runs propagating estimators'
-        batch buffers in float32 (ignored by estimators without a
-        dtype knob).
+        ``batch_size`` caps the representatives per pass -- propagation
+        memory is ``batch_size x`` the K=1 engine footprint.
+        ``dtype="float32"`` runs propagating estimators' batch buffers
+        in float32 (ignored by estimators without a dtype knob).
 
         A :class:`ZeroBeliefError` escaping a chunk is re-raised with
         its ``batch_indices`` mapped to the *caller's* scenario

@@ -49,7 +49,10 @@ __all__ = ["ARTIFACT_SCHEMA", "ARTIFACT_SCHEMA_VERSION", "Backend", "CompiledMod
 #: records with glue-edge plans) and the boundary refiner's compiled
 #: glue-cone estimators instead of the flat segment/boundary-tree
 #: lists.
-ARTIFACT_SCHEMA_VERSION = 4
+#: v5: junction trees keep one propagation engine (excluded from the
+#: pickle) plus install bookkeeping and lazily rebuilt CPD products;
+#: engines have no dense single-query mirrors.
+ARTIFACT_SCHEMA_VERSION = 5
 
 #: Schema tag written into every saved artifact envelope.
 ARTIFACT_SCHEMA = f"repro.compiled/v{ARTIFACT_SCHEMA_VERSION}"

@@ -147,7 +147,7 @@ class EnumerationSegment:
         the cached states/weights (and therefore :meth:`pair_joint`)
         reflect the *last* scenario -- batched callers that need
         per-scenario pair joints must read them inside the loop, which
-        :class:`repro.core.segmentation.SegmentedEstimator` does.
+        :class:`repro.core.segments.SegmentedEstimator` does.
         """
         results = []
         for model in input_models:

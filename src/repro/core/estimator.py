@@ -6,7 +6,7 @@ single Bayesian network:
 - ``compile()`` -- build the LIDAG, moralize, triangulate, and build the
   junction tree (slow, once per circuit),
 - ``estimate()`` -- calibrate by message passing and read off every
-  line's 4-state marginal (fast),
+  line's 4-state marginal (fast); a one-scenario ``estimate_many``,
 - ``update_inputs()`` -- swap input statistics without recompiling
   (the paper's advantage #3: "repeated computation of switching activity
   of the circuit with different input statistics does not require much
@@ -19,7 +19,6 @@ to prove exactness on small circuits.
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Tuple
 
@@ -34,22 +33,6 @@ from repro.core.inputs import IndependentInputs, InputModel
 from repro.core.lidag import build_lidag
 from repro.core.states import N_STATES, switching_probability
 from repro.obs.trace import get_tracer
-
-
-def __getattr__(name: str):
-    # Deprecated alias: CliqueBudgetExceeded used to be re-exported
-    # here; its home is now the backend layer.
-    if name == "CliqueBudgetExceeded":
-        warnings.warn(
-            "importing CliqueBudgetExceeded from repro.core.estimator is "
-            "deprecated; import it from repro.core.backend (or repro)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.core.backend.errors import CliqueBudgetExceeded
-
-        return CliqueBudgetExceeded
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass
@@ -172,44 +155,21 @@ class SwitchingActivityEstimator:
 
         Requires the new model to induce the same input-to-input edge
         structure (e.g. independent -> temporal is fine; adding new
-        correlation groups needs a recompile).
+        correlation groups needs a recompile).  The model's input CPDs
+        replace the network's; nothing is multiplied or propagated here
+        -- the next :meth:`estimate` installs them and re-propagates
+        only the cliques they reach.
         """
         self.compile()
-        new_cpds = input_model.input_cpds(self.circuit.inputs)
-        self._jt.update_cpds(new_cpds)
+        self._jt.update_cpds(input_model.input_cpds_trusted(self.circuit.inputs))
         self.input_model = input_model
 
     # ------------------------------------------------------------------
 
-    def estimate(self, lines=None) -> SwitchingEstimate:
-        """Calibrate and return every line's transition distribution.
-
-        ``lines`` restricts which marginals are extracted (default: all
-        circuit lines).  The segmented pipeline passes each segment's
-        published lines, so marginals the caller would discard are never
-        computed.
-        """
-        self.compile()
-        tracer = get_tracer()
-        wanted = list(self.circuit.lines) if lines is None else list(lines)
-        with tracer.span(
-            "estimator.propagate",
-            circuit=self.circuit.name,
-            backend="junction-tree",
-        ) as span:
-            with tracer.span("propagate.calibrate"):
-                self._jt.calibrate()
-            # One batched sweep reads every line's marginal, grouped by
-            # home clique, instead of one marginalization per line.
-            with tracer.span("propagate.marginals", lines=len(wanted)):
-                batched = self._jt.marginals(wanted)
-                distributions = {line: batched[line] for line in wanted}
-        return SwitchingEstimate(
-            distributions=distributions,
-            compile_seconds=self.compile_seconds,
-            propagate_seconds=span.duration,
-            method=Method.SINGLE_BN.value,
-        )
+    def estimate(self) -> SwitchingEstimate:
+        """Calibrate and return every line's transition distribution:
+        row 0 of a one-scenario :meth:`estimate_many`."""
+        return self.estimate_many([self.input_model])[0]
 
     def estimate_many(
         self, input_models, dtype: str = "float64"
@@ -221,15 +181,13 @@ class SwitchingActivityEstimator:
         belief and message buffer and runs a single vectorized
         collect/distribute sweep, so the per-query Python overhead
         (schedule walking, kernel dispatch, marginal extraction) is paid
-        once instead of K times.  Result ``k`` is bitwise-identical to
-        an independent ``estimate()`` with scenario ``k``'s model.
+        once instead of K times.  Result ``k`` is bitwise-identical to a
+        one-scenario ``estimate_many`` of scenario ``k``'s model.
 
         Every model must induce the same input-to-input edge structure
         as the compiled one (same rule as :meth:`update_inputs`).  This
-        does not touch the single-query state: ``self.input_model`` and
-        a subsequent :meth:`estimate` are unaffected.
-        ``propagate_seconds`` on each result is the amortized per-
-        scenario share of the sweep.
+        does not touch ``self.input_model``.  ``propagate_seconds`` on
+        each result is the amortized per-scenario share of the sweep.
         """
         models = list(input_models)
         if not models:
@@ -262,7 +220,7 @@ class SwitchingActivityEstimator:
         self.compile()
         tracer = get_tracer()
         with tracer.span(
-            "estimator.propagate_many",
+            "estimator.propagate",
             circuit=self.circuit.name,
             backend="junction-tree",
             scenarios=len(models),
@@ -283,17 +241,12 @@ class SwitchingActivityEstimator:
         (a full pass is a pure function of the potentials, so two full
         passes over equal inputs agree bitwise); ``repro.serve`` resets
         checked-out replicas before every batch for the same reason --
-        responses must not depend on what the replica served before.
-        Covers the batched engine too: a reused batch engine's cached
-        clean-subtree messages would otherwise make the next sweep a
-        dirty-path pass.
+        responses must not depend on what the replica served before: a
+        reused engine's cached clean-subtree messages would otherwise
+        make the next pass a dirty-path pass.
         """
-        if self._jt is None:
-            return
-        if self._jt._engine is not None:
-            self._jt._engine.mark_all_dirty()
-        if self._jt._batch_engine is not None:
-            self._jt._batch_engine.mark_all_dirty()
+        if self._jt is not None:
+            self._jt.reset_propagation()
 
     def propagation_counters(self) -> PropagationCounters:
         """Cumulative engine work counters for this estimator's tree."""
@@ -312,8 +265,8 @@ class SwitchingActivityEstimator:
 
     def line_distribution(self, line: str) -> np.ndarray:
         """Convenience: one line's 4-state marginal."""
-        self.compile()
-        return self._jt.marginal(line)
+        stacks, _ = self.estimate_many_stacked([self.input_model], [line])
+        return stacks[line][0]
 
     def conditional_distribution(
         self, line: str, evidence: Mapping[str, int]
@@ -324,13 +277,13 @@ class SwitchingActivityEstimator:
         propagation methods cannot: e.g. the switching of an internal
         line given that a primary output was observed to rise
         (``evidence={"out": TransitionState.X01}``).  The evidence is
-        local to this call.
+        local to this call: it joins one K=1 install of the current
+        input model.
         """
         self.compile()
         self._jt.set_evidence({k: int(v) for k, v in evidence.items()})
         try:
-            self._jt.calibrate()
-            return self._jt.marginal(line)
+            return self.line_distribution(line)
         finally:
             self._jt.clear_evidence()
 

@@ -1,7 +1,6 @@
 """Segment-graph estimation of large circuits.
 
-The package splits the former monolithic ``repro.core.segmentation``
-module along its three concerns:
+The package splits segment-graph estimation along its concerns:
 
 - :mod:`.partition` -- cut discovery and the explicit segment DAG
   (:class:`SegmentGraph`), pure structure;
@@ -10,10 +9,6 @@ module along its three concerns:
 - :mod:`.refine` -- iterative boundary refinement via glue-cone joints;
 - :mod:`.estimator` -- :class:`SegmentedEstimator`, orchestrating all
   of the above.
-
-``repro.core.segmentation`` remains as a compatibility shim
-re-exporting the public names (and the historical underscore-prefixed
-ones) from here.
 """
 
 from repro.core.segments.boundary import (

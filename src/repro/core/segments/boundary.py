@@ -36,7 +36,20 @@ __all__ = [
     "FixedMarginalInputs",
     "SegmentInputs",
     "TreeBoundaryInputs",
+    "conditional_rows",
 ]
+
+
+def conditional_rows(joint: np.ndarray, child_prior: np.ndarray) -> np.ndarray:
+    """``P(child | parent)`` from ``(K, 4, 4)`` parent-major pair joints.
+
+    Each row is normalized by its parent-state mass; rows with
+    (near-)zero mass fall back to the child's ``(K, 4)`` marginal.
+    """
+    mass = joint.sum(axis=2)
+    ok = mass > 1e-15
+    rows = joint / np.where(ok, mass, 1.0)[:, :, None]
+    return np.where(ok[:, :, None], rows, child_prior[:, None, :])
 
 
 class BoundaryModel(InputModel):

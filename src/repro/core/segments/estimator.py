@@ -40,6 +40,7 @@ from repro.core.segments.boundary import (
     FixedMarginalInputs,
     SegmentInputs,
     TreeBoundaryInputs,
+    conditional_rows,
 )
 from repro.core.segments.partition import (
     SegmentGraph,
@@ -188,7 +189,8 @@ class SegmentedEstimator:
         self.graph: Optional[SegmentGraph] = None
         self._refiner: Optional[BoundaryRefiner] = None
         self.compile_seconds = 0.0
-        #: (iterations, delta) of the most recent refinement run
+        #: (iterations, largest final delta over the scenarios) of the
+        #: most recent refinement run
         self.last_refine: Tuple[int, float] = (0, 0.0)
 
     def effective_refine_iters(self) -> int:
@@ -359,8 +361,8 @@ class SegmentedEstimator:
 
         The *structure* (which input-to-input CPD edges exist) is baked
         into the segment's LIDAG here; numbers are refreshed at every
-        :meth:`_propagate_segment`.  Primary inputs take their CPDs from
-        the user model, boundary lines start uniform.  With
+        :meth:`_propagate_segment_batch`.  Primary inputs take their
+        CPDs from the user model, boundary lines start uniform.  With
         ``refine > 0`` the boundary forest additionally carries glue
         edges (returned as ``glue_children`` plus their cone plans).
         """
@@ -482,89 +484,34 @@ class SegmentedEstimator:
         self.input_model = input_model
 
     def estimate(self) -> SwitchingEstimate:
-        """Propagate marginals segment by segment in topological order.
-
-        With ``parallelism >= 2`` the segments propagate level-by-level
-        over the ownership DAG: all segments of a level run
-        concurrently (their inputs are fully published by lower
-        levels), and the published marginals merge between levels.
-        Each segment's computation sees exactly the inputs it would see
-        serially, so the results are identical.
-
-        With ``refine > 0`` the one-pass sweep is followed by the
-        iterative boundary-refinement loop, which re-propagates dirty
-        segments until the boundary beliefs converge (see
-        :mod:`repro.core.segments.refine`).
-        """
-        self.compile()
-        tracer = get_tracer()
-        with tracer.span(
-            "segmented.propagate",
-            circuit=self.circuit.name,
-            segments=len(self.graph),
-            backend="segmented",
-        ) as span:
-            known: Dict[str, np.ndarray] = {
-                name: self.input_model.marginal_distribution(name)
-                for name in self.circuit.inputs
-            }
-            if self.parallelism > 1 and len(self.graph) > 1:
-                from concurrent.futures import ThreadPoolExecutor
-
-                levels = self.graph.levels()
-                with ThreadPoolExecutor(max_workers=self.parallelism) as pool:
-                    for level in range(max(levels) + 1):
-                        members = [
-                            i for i, lv in enumerate(levels) if lv == level
-                        ]
-                        with tracer.span(
-                            "segmented.propagate.level",
-                            level=level,
-                            segments=len(members),
-                        ) as level_span:
-                            published = pool.map(
-                                lambda index: self._propagate_segment(
-                                    index, known, parent_span=level_span
-                                ),
-                                members,
-                            )
-                            for result in published:
-                                known.update(result)
-            else:
-                for index in range(len(self.graph)):
-                    known.update(self._propagate_segment(index, known))
-            self.last_refine = run_refinement(self, known)
-        return SwitchingEstimate(
-            distributions=known,
-            compile_seconds=self.compile_seconds,
-            propagate_seconds=span.duration,
-            method=(
-                Method.SEGMENTED.value
-                if len(self.graph) > 1
-                else Method.SINGLE_BN.value
-            ),
-            segments=len(self.graph),
-            refine_iterations=self.last_refine[0],
-            refine_delta=self.last_refine[1],
-        )
+        """Propagate the current input model through the segment graph:
+        row 0 of a one-scenario :meth:`estimate_many`."""
+        return self.estimate_many([self.input_model])[0]
 
     def estimate_many(
         self, input_models, dtype: str = "float64"
     ) -> List[SwitchingEstimate]:
         """Estimate K input-statistics scenarios in one batched sweep.
 
-        Each junction-tree segment propagates all K scenarios in a
-        single vectorized pass (:meth:`SwitchingActivityEstimator.
-        estimate_many`); enumeration segments loop their (already
-        vectorized) support pass per scenario, caching the pair joints
-        downstream boundary trees will need.  The published boundary
-        marginals flow between segments as ``(K, 4)`` stacks, composing
-        with the ``parallelism`` level pipeline exactly like the
-        single-scenario path.  Result ``k`` is bitwise-identical to an
-        independent :meth:`estimate` with scenario ``k``'s model (same
-        caveat as the engine: identical dirty paths, e.g. fresh
-        compiles or sweeps updating every input).  ``self.input_model``
-        is not modified.
+        Segments propagate in topological order; with
+        ``parallelism >= 2`` they propagate level-by-level over the
+        ownership DAG: all segments of a level run concurrently (their
+        inputs are fully published by lower levels), so every segment
+        sees exactly the inputs it would see serially and the results
+        are identical.  Each junction-tree segment propagates all K
+        scenarios in a single vectorized pass
+        (:meth:`SwitchingActivityEstimator.estimate_many_stacked`);
+        enumeration segments loop their (already vectorized) support
+        pass per scenario, caching the pair joints downstream boundary
+        trees will need.  The published boundary marginals flow between
+        segments as ``(K, 4)`` stacks.  With ``refine > 0`` the forward
+        pass is followed by the iterative boundary-refinement loop (see
+        :mod:`repro.core.segments.refine`).
+
+        Result ``k`` is bitwise-identical to a one-scenario
+        ``estimate_many`` of scenario ``k``'s model (same caveat as the
+        engine: identical dirty paths, e.g. fresh compiles or sweeps
+        updating every input).  ``self.input_model`` is not modified.
         """
         models = list(input_models)
         if not models:
@@ -573,7 +520,7 @@ class SegmentedEstimator:
         k = len(models)
         tracer = get_tracer()
         with tracer.span(
-            "segmented.propagate_many",
+            "segmented.propagate",
             circuit=self.circuit.name,
             segments=len(self.graph),
             scenarios=k,
@@ -585,10 +532,10 @@ class SegmentedEstimator:
                 )
                 for name in self.circuit.inputs
             }
-            #: (provider index, parent, child) -> (K, 4, 4) pair joints
-            #: captured during enumeration segments' per-scenario loops
-            enum_joints: Dict[Tuple[int, str, str], np.ndarray] = {}
-            needed = self._needed_enum_joints()
+            #: (provider index, parent, child) -> (K, 4, 4) pair joints,
+            #: captured by each provider right after it propagates
+            pair_joints: Dict[Tuple[int, str, str], np.ndarray] = {}
+            needed = self._needed_pair_joints()
             if self.parallelism > 1 and len(self.graph) > 1:
                 from concurrent.futures import ThreadPoolExecutor
 
@@ -609,7 +556,7 @@ class SegmentedEstimator:
                                     known,
                                     models,
                                     needed,
-                                    enum_joints,
+                                    pair_joints,
                                     parent_span=level_span,
                                     dtype=dtype,
                                 ),
@@ -621,13 +568,14 @@ class SegmentedEstimator:
                 for index in range(len(self.graph)):
                     known.update(
                         self._propagate_segment_batch(
-                            index, known, models, needed, enum_joints, dtype=dtype
+                            index, known, models, needed, pair_joints, dtype=dtype
                         )
                     )
-            self.last_refine = run_refinement(
+            iterations, deltas = run_refinement(
                 self, known, models=models, needed=needed,
-                enum_joints=enum_joints, dtype=dtype,
+                pair_joints=pair_joints, dtype=dtype,
             )
+            self.last_refine = (iterations, float(deltas.max()))
         per_scenario = span.duration / k
         method = (
             Method.SEGMENTED.value
@@ -641,20 +589,19 @@ class SegmentedEstimator:
                 propagate_seconds=per_scenario,
                 method=method,
                 segments=len(self.graph),
-                refine_iterations=self.last_refine[0],
-                refine_delta=self.last_refine[1],
+                refine_iterations=iterations,
+                refine_delta=float(deltas[j]),
             )
             for j in range(k)
         ]
 
-    def _needed_enum_joints(self) -> Dict[int, List[Tuple[str, str]]]:
-        """Per enumeration segment, the (parent, child) boundary pairs
-        downstream tree boundaries will request.  Junction-tree
-        providers answer batched joint queries live and need no cache;
-        glue children are excluded -- their conditionals come from the
+    def _needed_pair_joints(self) -> Dict[int, List[Tuple[str, str]]]:
+        """Per provider segment, the (parent, child) boundary pairs
+        downstream tree boundaries will request.  Providers capture
+        them as they propagate, so consumers -- possibly on other
+        worker threads -- never query a provider's engine.  Glue
+        children are excluded: their conditionals come from the
         refinement loop's glue estimators, never a live provider."""
-        from repro.core.enumeration import EnumerationSegment
-
         needed: Dict[int, List[Tuple[str, str]]] = {}
         for node in self.graph.nodes:
             for child, parent in node.parent_of.items():
@@ -662,10 +609,6 @@ class SegmentedEstimator:
                     continue
                 provider_index = self.graph.owner.get(child)
                 if provider_index is None:
-                    continue
-                if not isinstance(
-                    self.graph[provider_index].estimator, EnumerationSegment
-                ):
                     continue
                 pairs = needed.setdefault(provider_index, [])
                 if (parent, child) not in pairs:
@@ -678,17 +621,22 @@ class SegmentedEstimator:
         known: Dict[str, np.ndarray],
         models: List[InputModel],
         needed: Dict[int, List[Tuple[str, str]]],
-        enum_joints: Dict[Tuple[int, str, str], np.ndarray],
+        pair_joints: Dict[Tuple[int, str, str], np.ndarray],
         parent_span=None,
         dtype: str = "float64",
         glue_tables: Optional[Dict[str, np.ndarray]] = None,
     ) -> Dict[str, np.ndarray]:
-        """Batched counterpart of :meth:`_propagate_segment`.
+        """Refresh one segment's boundary inputs for all K scenarios,
+        propagate it, and return the ``(K, 4)`` stacks of the lines it
+        owns.
 
-        ``known`` maps each published line to a ``(K, 4)`` stack; the
-        returned dict adds this segment's owned lines in the same
-        layout.  ``enum_joints`` collects per-scenario pair joints while
-        an enumeration segment's scenario loop runs, because
+        ``known`` maps each published line to a ``(K, 4)`` stack and is
+        only read (the caller merges the return value), so concurrent
+        calls for independent segments are safe.  ``parent_span`` nests
+        this segment's span under the level span when running on a
+        worker thread.  ``pair_joints`` receives this segment's
+        ``needed`` pair joints as ``(K, 4, 4)`` stacks; an enumeration
+        segment records them inside its scenario loop, because
         :meth:`EnumerationSegment.pair_joint` only reflects the last
         scenario afterwards.  ``glue_tables`` maps glue children to
         ``(K, 4, 4)`` conditional stacks during refinement; in the base
@@ -700,7 +648,7 @@ class SegmentedEstimator:
         segment, estimator, owned = node.segment, node.estimator, node.owned
         k = len(models)
         with get_tracer().span(
-            "segment.propagate_many",
+            "segment.propagate",
             parent=parent_span,
             segment=segment.name,
             scenarios=k,
@@ -713,8 +661,9 @@ class SegmentedEstimator:
                     if glue_tables is not None and child in glue_tables:
                         conditionals_b[child] = glue_tables[child]
                     continue
-                conditionals_b[child] = self._boundary_conditional_batch(
-                    child, parent, known[child], enum_joints
+                provider = self.graph.owner[child]
+                conditionals_b[child] = conditional_rows(
+                    pair_joints[(provider, parent, child)], known[child]
                 )
             scenario_models: List[InputModel] = []
             for j in range(k):
@@ -745,9 +694,9 @@ class SegmentedEstimator:
                     results.append(estimator.estimate())
                     for parent, child in pairs:
                         key = (index, parent, child)
-                        buffer = enum_joints.get(key)
+                        buffer = pair_joints.get(key)
                         if buffer is None:
-                            buffer = enum_joints[key] = np.empty(
+                            buffer = pair_joints[key] = np.empty(
                                 (k, N_STATES, N_STATES)
                             )
                         buffer[j] = estimator.pair_joint(parent, child)
@@ -757,128 +706,24 @@ class SegmentedEstimator:
                 }
             # Junction-tree segment: the stacked API returns (K, 4)
             # stacks directly, skipping K per-scenario dicts that would
-            # be re-stacked here anyway.  The extraction set matches the
-            # single path's restricted ``estimate(lines=published)``
-            # exactly -- a different variable set would regroup the per-
-            # clique joint reductions and perturb the last float bit.
+            # be re-stacked here anyway.  Only the owned chunk publishes
+            # estimates (duplicated lookback gates exist solely to
+            # rebuild local correlation), so only its marginals are
+            # extracted.
             stacks, _ = estimator.estimate_many_stacked(
                 scenario_models, published, dtype=dtype
             )
+            for parent, child in needed.get(index, []):
+                pair_joints[(index, parent, child)] = (
+                    estimator.junction_tree.joint_marginal_batch([parent, child])
+                )
             return {line: stacks[line] for line in published}
-
-    def _boundary_conditional_batch(
-        self,
-        child: str,
-        parent: str,
-        child_priors: np.ndarray,
-        enum_joints: Dict[Tuple[int, str, str], np.ndarray],
-    ) -> np.ndarray:
-        """Batched ``P(child | parent)``: a ``(K, 4, 4)`` stack whose
-        slice ``k`` mirrors :meth:`_boundary_conditional` for scenario
-        ``k`` bitwise (same division, same near-zero-row fallback to
-        the child's prior)."""
-        from repro.core.enumeration import EnumerationSegment
-
-        provider_index = self.graph.owner[child]
-        provider = self.graph[provider_index].estimator
-        if isinstance(provider, EnumerationSegment):
-            joint = enum_joints[(provider_index, parent, child)]
-        else:
-            joint = provider.junction_tree.joint_marginal_batch([parent, child])
-        mass = joint.sum(axis=2)
-        ok = mass > 1e-15
-        safe = np.where(ok, mass, 1.0)
-        rows = joint / safe[:, :, None]
-        return np.where(ok[:, :, None], rows, child_priors[:, None, :])
 
     def reset_propagation(self) -> None:
         """Force every segment's next estimate to be a full pass (see
         :meth:`SwitchingActivityEstimator.reset_propagation`)."""
         for node in self.graph.nodes if self.graph is not None else []:
             node.estimator.reset_propagation()
-
-    def _propagate_segment(
-        self,
-        index: int,
-        known: Dict[str, np.ndarray],
-        parent_span=None,
-        glue_tables: Optional[Dict[str, np.ndarray]] = None,
-    ) -> Dict[str, np.ndarray]:
-        """Refresh one segment's boundary inputs, propagate it, and
-        return the distributions of the lines it owns.
-
-        ``known`` is only read (the caller merges the return value), so
-        concurrent calls for independent segments are safe.
-        ``parent_span`` nests this segment's span under the level span
-        when running on a worker thread.  ``glue_tables`` supplies
-        refreshed ``P(child | parent)`` tables for glue children during
-        refinement; in the base pass (and at ``refine=0``, where no
-        glue children exist) they fall back to the independent
-        placeholder baked into the LIDAG structure.
-        """
-        node = self.graph[index]
-        segment, estimator, owned = node.segment, node.estimator, node.owned
-        with get_tracer().span(
-            "segment.propagate", parent=parent_span, segment=segment.name
-        ):
-            primary, boundary_lines = self._split_segment_inputs(segment)
-            priors = {name: known[name] for name in boundary_lines}
-            parent_of = node.parent_of
-            if parent_of:
-                conditionals: Dict[str, np.ndarray] = {}
-                for child, parent in parent_of.items():
-                    if child in node.glue_children:
-                        if glue_tables is not None and child in glue_tables:
-                            conditionals[child] = glue_tables[child]
-                        continue
-                    conditionals[child] = self._boundary_conditional(
-                        child, parent, priors[child]
-                    )
-                boundary: InputModel = TreeBoundaryInputs(
-                    priors, parent_of, conditionals
-                )
-            else:
-                boundary = FixedMarginalInputs(priors)
-            from repro.core.enumeration import EnumerationSegment
-
-            estimator.update_inputs(
-                SegmentInputs(self.input_model, primary, boundary)
-            )
-            # Only the owned chunk publishes estimates; duplicated
-            # lookback gates exist solely to rebuild local correlation.
-            # Junction-tree segments extract marginals for exactly the
-            # published lines -- anything else would be discarded below.
-            published = [
-                line for line in segment.internal_lines if line in owned
-            ]
-            if isinstance(estimator, EnumerationSegment):
-                result = estimator.estimate()
-            else:
-                result = estimator.estimate(lines=published)
-        return {line: result.distributions[line] for line in published}
-
-    def _segment_levels(self) -> List[int]:
-        """Dependency level per compiled segment (see
-        :meth:`SegmentGraph.levels`)."""
-        return self.graph.levels()
-
-    def _boundary_conditional(
-        self, child: str, parent: str, child_prior: np.ndarray
-    ) -> np.ndarray:
-        """``P(child | parent)`` from the provider segment; rows with
-        (near-)zero parent probability fall back to the child's marginal."""
-        from repro.core.enumeration import EnumerationSegment
-
-        provider = self.graph[self.graph.owner[child]].estimator
-        if isinstance(provider, EnumerationSegment):
-            joint = provider.pair_joint(parent, child)
-        else:
-            joint = provider.junction_tree.joint_marginal([parent, child]).values
-        rows = np.empty((N_STATES, N_STATES))
-        for state in range(N_STATES):
-            mass = joint[state].sum()
-            rows[state] = joint[state] / mass if mass > 1e-15 else child_prior
-        return rows
 
     # ------------------------------------------------------------------
 

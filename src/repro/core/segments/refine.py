@@ -50,7 +50,11 @@ from repro.core.states import N_STATES
 from repro.obs.metrics import get_metrics
 from repro.obs.trace import get_tracer
 
-from repro.core.segments.boundary import FixedMarginalInputs, SegmentInputs
+from repro.core.segments.boundary import (
+    FixedMarginalInputs,
+    SegmentInputs,
+    conditional_rows,
+)
 from repro.core.segments.partition import (
     SegmentRegistry,
     cone_overlap,
@@ -317,54 +321,27 @@ class BoundaryRefiner:
 
     # ------------------------------------------------------------------
 
-    def conditional(
-        self,
-        edge: GlueEdge,
-        known: Dict[str, np.ndarray],
-        user_model: InputModel,
-    ) -> np.ndarray:
-        """``P(child | parent)`` from the glue cone at current beliefs."""
-        priors = {ln: known[ln] for ln in edge.internal}
-        edge.estimator.update_inputs(
-            SegmentInputs(user_model, edge.primary, FixedMarginalInputs(priors))
-        )
-        edge.estimator.estimate()
-        joint = edge.estimator.pair_joint(edge.parent, edge.child)
-        joint = calibrate_joint(joint, known[edge.parent], known[edge.child])
-        return _rows_to_conditional(joint, known[edge.child])
-
     def conditional_batch(
         self,
         edge: GlueEdge,
         known: Dict[str, np.ndarray],
         models: List[InputModel],
     ) -> np.ndarray:
-        """Per-scenario ``(K, 4, 4)`` stack of glue conditionals."""
-        k = len(models)
-        tables = np.empty((k, N_STATES, N_STATES))
-        for j in range(k):
+        """Per-scenario ``(K, 4, 4)`` stack of ``P(child | parent)``
+        from the glue cone at the current beliefs."""
+        joints = np.empty((len(models), N_STATES, N_STATES))
+        for j, model in enumerate(models):
             priors = {ln: known[ln][j] for ln in edge.internal}
             edge.estimator.update_inputs(
-                SegmentInputs(models[j], edge.primary, FixedMarginalInputs(priors))
+                SegmentInputs(model, edge.primary, FixedMarginalInputs(priors))
             )
             edge.estimator.estimate()
-            joint = edge.estimator.pair_joint(edge.parent, edge.child)
-            joint = calibrate_joint(
-                joint, known[edge.parent][j], known[edge.child][j]
+            joints[j] = calibrate_joint(
+                edge.estimator.pair_joint(edge.parent, edge.child),
+                known[edge.parent][j],
+                known[edge.child][j],
             )
-            tables[j] = _rows_to_conditional(joint, known[edge.child][j])
-        return tables
-
-
-def _rows_to_conditional(joint: np.ndarray, child_prior: np.ndarray) -> np.ndarray:
-    """Normalize a joint's rows into ``P(child | parent)``; rows with
-    (near-)zero parent mass fall back to the child's marginal -- the
-    same convention as the live boundary-conditional query."""
-    rows = np.empty((N_STATES, N_STATES))
-    for state in range(N_STATES):
-        mass = joint[state].sum()
-        rows[state] = joint[state] / mass if mass > 1e-15 else child_prior
-    return rows
+        return conditional_rows(joints, known[edge.child])
 
 
 # ----------------------------------------------------------------------
@@ -375,17 +352,19 @@ def _rows_to_conditional(joint: np.ndarray, child_prior: np.ndarray) -> np.ndarr
 def run_refinement(
     estimator,
     known: Dict[str, np.ndarray],
-    models: Optional[List[InputModel]] = None,
-    needed: Optional[Dict[int, List[Tuple[str, str]]]] = None,
-    enum_joints: Optional[Dict[Tuple[int, str, str], np.ndarray]] = None,
+    models: List[InputModel],
+    needed: Dict[int, List[Tuple[str, str]]],
+    pair_joints: Dict[Tuple[int, str, str], np.ndarray],
     dtype: str = "float64",
-) -> Tuple[int, float]:
-    """Refine ``known`` in place; returns ``(iterations, last_delta)``.
+) -> Tuple[int, np.ndarray]:
+    """Refine ``known`` in place; returns ``(iterations, last_deltas)``.
 
-    Handles both the single-scenario layout (``models is None``,
-    ``known`` maps line -> ``(4,)``) and the batched layout (``known``
-    maps line -> ``(K, 4)``); the batched path threads the enumeration
-    pair-joint cache exactly like the base pass.  With
+    ``known`` maps each line to a ``(K, 4)`` stack over the K
+    scenarios ``models``; re-propagation threads the provider
+    pair-joint cache exactly like the base pass.  ``last_deltas`` is
+    each scenario's own boundary-belief change at the last iteration
+    (zeros when nothing is refined); the loop stops once every
+    scenario's delta is within ``refine_tol``.  With
     ``parallelism >= 2`` glue cones evaluate concurrently and dirty
     segments re-propagate level-by-level over the segment DAG --
     bitwise identical to the serial sweep, since a level's members
@@ -394,8 +373,7 @@ def run_refinement(
     refiner: Optional[BoundaryRefiner] = estimator._refiner
     max_iters = estimator.effective_refine_iters()
     if refiner is None or not refiner.edges or max_iters <= 0:
-        return 0, 0.0
-    batched = models is not None
+        return 0, np.zeros(len(models))
     tracer = get_tracer()
     metrics = get_metrics()
     tol = estimator.refine_tol
@@ -408,7 +386,7 @@ def run_refinement(
         pool = ThreadPoolExecutor(max_workers=estimator.parallelism)
     prev_tables: Dict[Tuple[int, str], np.ndarray] = {}
     iterations = 0
-    delta = float("inf")
+    delta = np.full(len(models), np.inf)
     try:
         with tracer.span(
             "segmented.refine",
@@ -427,18 +405,19 @@ def run_refinement(
                     )
                     delta_lines = _repropagate(
                         estimator, known, dirty, glue_tables, prune, pool,
-                        models, needed, enum_joints, dtype,
+                        models, needed, pair_joints, dtype,
                     )
-                    delta = max(delta_glue, delta_lines)
+                    delta = np.maximum(delta_glue, delta_lines)
+                    worst = float(delta.max())
                     iterations += 1
                     it_span.annotate(
-                        delta=delta, dirty_segments=len(dirty)
+                        delta=worst, dirty_segments=len(dirty)
                     )
                     if metrics.enabled:
-                        metrics.gauge("seg.refine.delta").set(delta)
-                    if delta <= tol:
+                        metrics.gauge("seg.refine.delta").set(worst)
+                    if worst <= tol:
                         break
-            span.annotate(iterations=iterations, delta=delta)
+            span.annotate(iterations=iterations, delta=worst)
         if metrics.enabled:
             metrics.gauge("seg.refine.iterations").set(iterations)
     finally:
@@ -456,14 +435,11 @@ def _evaluate_glue(
     prune,
     pool,
 ):
-    """Evaluate every glue cone; return (tables by consumer, max table
-    delta, dirty consumer indices)."""
-    if models is None:
-        def evaluate(edge):
-            return refiner.conditional(edge, known, estimator.input_model)
-    else:
-        def evaluate(edge):
-            return refiner.conditional_batch(edge, known, models)
+    """Evaluate every glue cone; return (tables by consumer, per-scenario
+    max table delta, dirty consumer indices)."""
+
+    def evaluate(edge):
+        return refiner.conditional_batch(edge, known, models)
 
     if pool is not None:
         new_tables = list(pool.map(evaluate, refiner.edges))
@@ -471,7 +447,7 @@ def _evaluate_glue(
         new_tables = [evaluate(edge) for edge in refiner.edges]
 
     glue_tables: Dict[int, Dict[str, np.ndarray]] = {}
-    delta_glue = 0.0
+    delta_glue = np.zeros(len(models))
     dirty: set = set()
     for edge, table in zip(refiner.edges, new_tables):
         key = (edge.index, edge.child)
@@ -480,15 +456,12 @@ def _evaluate_glue(
             # The base pass baked the independent placeholder: the
             # child's prior tiled over parent states.
             child_prior = np.asarray(known[edge.child], dtype=np.float64)
-            if models is None:
-                prev = np.tile(child_prior, (N_STATES, 1))
-            else:
-                prev = np.repeat(child_prior[:, None, :], N_STATES, axis=1)
-        table_delta = float(np.abs(table - prev).max())
-        delta_glue = max(delta_glue, table_delta)
+            prev = np.repeat(child_prior[:, None, :], N_STATES, axis=1)
+        table_delta = _row_deltas(table, prev)
+        np.maximum(delta_glue, table_delta, out=delta_glue)
         prev_tables[key] = table
         glue_tables.setdefault(edge.index, {})[edge.child] = table
-        if table_delta > prune:
+        if table_delta.max() > prune:
             dirty.add(edge.index)
     return glue_tables, delta_glue, dirty
 
@@ -502,23 +475,19 @@ def _repropagate(
     pool,
     models,
     needed,
-    enum_joints,
+    pair_joints,
     dtype,
 ):
     """One topological sweep re-propagating dirty segments; returns the
-    max published-belief delta.  Dirtiness cascades: a segment is dirty
-    when its glue tables changed or any of its boundary inputs moved
-    more than the prune threshold."""
+    per-scenario max published-belief delta.  Dirtiness cascades: a
+    segment is dirty when its glue tables changed or any of its
+    boundary inputs moved more than the prune threshold."""
     changed: set = set()
-    delta_lines = 0.0
+    delta_lines = np.zeros(len(models))
 
     def propagate(index):
-        if models is None:
-            return estimator._propagate_segment(
-                index, known, glue_tables=glue_tables.get(index)
-            )
         return estimator._propagate_segment_batch(
-            index, known, models, needed, enum_joints,
+            index, known, models, needed, pair_joints,
             glue_tables=glue_tables.get(index), dtype=dtype,
         )
 
@@ -529,16 +498,15 @@ def _repropagate(
         return any(line in changed for line in segment.inputs)
 
     def merge(published):
-        nonlocal delta_lines
         for line, value in published.items():
-            line_delta = float(np.abs(value - known[line]).max())
+            line_delta = _row_deltas(value, known[line])
             known[line] = value
-            if line_delta > prune:
+            if line_delta.max() > prune:
                 changed.add(line)
-            delta_lines = max(delta_lines, line_delta)
+            np.maximum(delta_lines, line_delta, out=delta_lines)
 
     if pool is not None:
-        levels = estimator._segment_levels()
+        levels = estimator.graph.levels()
         for level in range(max(levels) + 1):
             members = [
                 i for i, lv in enumerate(levels)
@@ -553,3 +521,9 @@ def _repropagate(
             if is_dirty(index):
                 merge(propagate(index))
     return delta_lines
+
+
+def _row_deltas(new: np.ndarray, old: np.ndarray) -> np.ndarray:
+    """Largest absolute change per scenario row of two ``(K, ...)``
+    stacks."""
+    return np.abs(new - old).reshape(len(new), -1).max(axis=1)

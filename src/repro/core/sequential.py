@@ -41,7 +41,7 @@ from repro.circuits.netlist import Circuit
 from repro.core.backend.errors import CliqueBudgetExceeded
 from repro.core.estimator import SwitchingActivityEstimator, SwitchingEstimate
 from repro.core.inputs import IndependentInputs, InputModel
-from repro.core.segmentation import (
+from repro.core.segments import (
     FixedMarginalInputs,
     SegmentedEstimator,
     TreeBoundaryInputs,

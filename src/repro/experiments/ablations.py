@@ -12,7 +12,7 @@ from repro.bayesian.junction import JunctionTree
 from repro.circuits import suite
 from repro.core.inputs import IndependentInputs, TemporalInputs
 from repro.core.lidag import build_lidag
-from repro.core.segmentation import SegmentedEstimator
+from repro.core.segments import SegmentedEstimator
 from repro.experiments.table1 import make_estimator
 from repro.obs.trace import get_tracer
 

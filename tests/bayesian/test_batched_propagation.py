@@ -1,13 +1,13 @@
 """Tests for the batched (leading-K-axis) propagation engine.
 
-The batched engine's contract is *bitwise* agreement with K
-independent single-query propagations over the same potentials: every
-kernel (einsum collect, masked-divide distribute, marginal reduction,
-normalization) operates elementwise or reduces each batch slice with
-the same pairwise order numpy uses on an unbatched array.  These tests
-pin that contract at the engine level, plus the batch-aware failure
-modes (per-scenario zero beliefs) and the skip-unchanged-potential
-fast path.
+The engine's contract is *bitwise* agreement between row ``k`` of a
+K-scenario propagation and a K=1 propagation of scenario ``k`` alone
+over the same potentials: every kernel (einsum collect, masked-divide
+distribute, marginal reduction, normalization) operates elementwise or
+reduces each batch slice with the same order whatever K is.  These
+tests pin that contract at the engine level, plus the batch-aware
+failure modes (per-scenario zero beliefs) and the skip-unchanged-
+potential fast path.
 """
 
 import numpy as np
@@ -40,16 +40,18 @@ def _batched_engine_for(jt: JunctionTree, stacks, k=None):
     return engine
 
 
-def _single_run(jt: JunctionTree, overrides):
-    """Fresh single engine over the same schedule with ``overrides``."""
+def _k1_run(jt: JunctionTree, overrides):
+    """Fresh K=1 engine over the same schedule with ``overrides``
+    installed as one-row stacks; every other clique takes its CPD
+    product as a shared potential, broadcast over the batch axis."""
     schedule = jt._ensure_schedule()
-    engine = PropagationEngine(schedule)
+    engine = PropagationEngine(schedule, batch_size=1)
     for idx in range(len(jt.cliques)):
         if idx in overrides:
-            values = overrides[idx]
+            values = np.array(overrides[idx], dtype=np.float64)
+            engine.set_potential_batch(idx, values[None])
         else:
-            values = jt._cpd_products[idx].permute(schedule.orders[idx]).values
-        engine._install_psi(idx, np.array(values, dtype=np.float64))
+            engine.set_potential(idx, jt._cpd_products[idx])
     engine.propagate()
     return engine
 
@@ -80,14 +82,15 @@ class TestBatchedBitwise:
         batched = engine.marginals(nodes)
 
         for i in range(k):
-            single = _single_run(jt, {idx: tables[i]})
-            expect = single.marginals(nodes)
+            expect = _k1_run(jt, {idx: tables[i]}).marginals(nodes)
             for node in nodes:
-                assert np.array_equal(batched[node][i], expect[node]), (
+                assert np.array_equal(batched[node][i], expect[node][0]), (
                     f"scenario {i}, node {node}"
                 )
 
     def test_random_network_k1_matches_single(self):
+        """A K=1 engine holding one-row stacks on every clique matches
+        one holding broadcast shared potentials, bitwise."""
         bn = random_bn(9, seed=21, max_parents=3)
         jt = JunctionTree.from_network(bn)
         jt.calibrate()
@@ -95,11 +98,11 @@ class TestBatchedBitwise:
         engine.propagate()
         nodes = list(bn.nodes)
         batched = engine.marginals(nodes)
-        single = _single_run(jt, {})
-        expect = single.marginals(nodes)
+        expect = _k1_run(jt, {}).marginals(nodes)
         for node in nodes:
-            assert batched[node].shape == (1,) + expect[node].shape
-            assert np.array_equal(batched[node][0], expect[node])
+            assert batched[node].shape == expect[node].shape
+            assert batched[node].shape[0] == 1
+            assert np.array_equal(batched[node][0], expect[node][0])
 
     def test_scenarios_propagated_counter_scales_with_batch(self):
         bn = sprinkler_bn()
@@ -108,7 +111,7 @@ class TestBatchedBitwise:
         engine = _batched_engine_for(jt, {}, k=4)
         engine.propagate()
         assert engine.counters.scenarios_propagated == 4
-        single = _single_run(jt, {})
+        single = _k1_run(jt, {})
         assert engine.counters.flops == 4 * single.counters.flops
 
 
@@ -140,10 +143,9 @@ class TestZeroBeliefIsolation:
         schedule = jt._ensure_schedule()
         base = jt._cpd_products[idx].permute(schedule.orders[idx]).values
         for i, table in ((0, base), (2, base * 0.5)):
-            single = _single_run(jt, {idx: table})
-            expect = single.marginals(["cloudy", "wet"])
-            assert np.array_equal(out["cloudy"][i], expect["cloudy"])
-            assert np.array_equal(out["wet"][i], expect["wet"])
+            expect = _k1_run(jt, {idx: table}).marginals(["cloudy", "wet"])
+            assert np.array_equal(out["cloudy"][i], expect["cloudy"][0])
+            assert np.array_equal(out["wet"][i], expect["wet"][0])
 
 
 class TestSkipUnchangedPotential:

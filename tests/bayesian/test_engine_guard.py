@@ -23,8 +23,10 @@ from tests.bayesian.util import sprinkler_bn
 
 
 def _calibrated_engine():
+    """The tree's one engine, after the K=1 install a calibration is."""
     jt = JunctionTree.from_network(sprinkler_bn())
     jt.calibrate()
+    assert jt._engine.batch_size == 1
     return jt._engine
 
 

@@ -10,7 +10,7 @@ from repro.core import (
     exact_switching_by_enumeration,
 )
 from repro.core.enumeration import EnumerationSegment, SegmentTooWide
-from repro.core.segmentation import TreeBoundaryInputs
+from repro.core.segments import TreeBoundaryInputs
 from repro.core.states import N_STATES
 
 

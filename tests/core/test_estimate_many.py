@@ -13,6 +13,7 @@ chunking, and single-query-path isolation.
 import numpy as np
 import pytest
 
+from repro.circuits import suite
 from repro.circuits.examples import c17
 from repro.circuits.gates import GateType
 from repro.circuits.netlist import Gate
@@ -71,6 +72,47 @@ class TestBatchedVsFreshOracle:
         expected = _fresh_oracle(circuit, backend, options, models)
         _assert_bitwise(got, expected, context=backend)
 
+    @pytest.mark.parametrize(
+        "name,backend,options",
+        [
+            ("c17", "junction-tree", {}),
+            ("pcler8", "junction-tree", {}),
+            ("alu", "segmented", {}),
+            ("voter", "segmented", {}),
+            *[
+                (
+                    "refineA",
+                    "segmented",
+                    dict(
+                        max_gates_per_segment=10,
+                        lookback=0,
+                        refine=2,
+                        parallelism=parallelism,
+                    ),
+                )
+                for parallelism in (0, 2)
+            ],
+            ("c17", "enumeration", {}),
+        ],
+    )
+    def test_query_is_its_row_of_a_larger_batch(self, name, backend, options):
+        """``query(X)`` is a one-scenario ``query_many``: on a fresh
+        compile it equals X's row of a two-scenario sweep bitwise,
+        refinement bookkeeping included."""
+        circuit = suite.load_circuit(name)
+        x, y = IndependentInputs(0.3), IndependentInputs(0.65)
+        single = compile_model(circuit, x, backend=backend, **options).query(x)
+        pair = compile_model(circuit, x, backend=backend, **options).query_many(
+            [y, x]
+        )
+        _assert_bitwise([single], pair[1:], context=f"{name} {backend}")
+        assert single.method == pair[1].method
+        assert single.segments == pair[1].segments
+        if options.get("refine"):
+            assert single.refine_iterations > 0
+        assert single.refine_iterations == pair[1].refine_iterations
+        assert single.refine_delta == pair[1].refine_delta
+
     @pytest.mark.parametrize("backend,options", BACKENDS[:2])
     def test_lockstep_sweeps_stay_bitwise(self, backend, options):
         """Sweep 2 on a warm batch engine (partial repropagation) must
@@ -107,14 +149,19 @@ class TestBatchedVsFreshOracle:
 
 class TestSingleQueryPathIsolation:
     def test_estimate_many_does_not_perturb_estimate(self):
-        """Interleaving a batch sweep must not change what the plain
-        single-query path computes afterwards."""
+        """Interleaving a batch sweep must not leave state behind that
+        changes what a later query computes.  A query is a K=1 batch on
+        the tree's one engine, so the query after a K=6 sweep rebuilds
+        the K=1 engine and runs a full pass: bitwise a fresh compile's
+        answer, and within 1e-12 of an uninterrupted query history
+        (whose second query took the dirty-clique path)."""
         circuit = c17()
         model = IndependentInputs(0.3)
-        # Identical single-query histories; only the batch sweep differs.
-        reference = compile_model(circuit, model, backend="junction-tree")
-        reference.query(model)
-        expected = reference.query(IndependentInputs(0.7))
+        fresh = compile_model(circuit, model, backend="junction-tree")
+        expected = fresh.query(IndependentInputs(0.7))
+        history = compile_model(circuit, model, backend="junction-tree")
+        history.query(model)
+        uninterrupted = history.query(IndependentInputs(0.7))
 
         compiled = compile_model(circuit, model, backend="junction-tree")
         compiled.query(model)
@@ -122,6 +169,12 @@ class TestSingleQueryPathIsolation:
         got = compiled.query(IndependentInputs(0.7))
         for line, dist in expected.distributions.items():
             assert np.array_equal(got.distributions[line], dist)
+            np.testing.assert_allclose(
+                got.distributions[line],
+                uninterrupted.distributions[line],
+                rtol=0,
+                atol=1e-12,
+            )
 
     def test_estimator_input_model_is_untouched(self):
         circuit = c17()

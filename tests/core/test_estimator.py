@@ -11,7 +11,7 @@ from repro.core import (
     CorrelatedGroupInputs,
     exact_switching_by_enumeration,
 )
-from repro.core.estimator import CliqueBudgetExceeded
+from repro.errors import CliqueBudgetExceeded
 
 
 def assert_matches_enumeration(circuit, model=None, atol=1e-10):
@@ -146,6 +146,27 @@ class TestConditionalQueries:
         result = estimator.conditional_distribution("5", evidence)
         expected = build_lidag(circuit).brute_force_marginal("5", evidence)
         assert np.allclose(result, expected, atol=1e-10)
+
+    @pytest.mark.parametrize(
+        "line,evidence",
+        [("10", {"22": 1}), ("22", {"1": 2}), ("16", {"23": 3, "3": 1})],
+    )
+    def test_conditional_matches_factor_path(self, line, evidence):
+        """Evidence joins the K=1 install on the compiled engine (also
+        on input cliques, whose potentials are per-scenario stacks); the
+        answer must match the Factor-based path to 1e-12."""
+        from repro.bayesian.junction import JunctionTree
+        from repro.core.lidag import build_lidag
+
+        circuit = examples.c17()
+        model = IndependentInputs(0.35)
+        estimator = SwitchingActivityEstimator(circuit, model)
+        got = estimator.conditional_distribution(line, evidence)
+        oracle = JunctionTree.from_network(
+            build_lidag(circuit, model), engine=False
+        )
+        oracle.set_evidence(evidence)
+        np.testing.assert_allclose(got, oracle.marginal(line), rtol=0, atol=1e-12)
 
     def test_evidence_changes_posterior(self):
         circuit = examples.paper_circuit()

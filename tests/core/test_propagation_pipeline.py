@@ -4,6 +4,8 @@ against fresh compiles, and the parallel segment pipeline against the
 serial one.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from repro.core.estimator import (
     exact_switching_by_enumeration,
 )
 from repro.core.inputs import IndependentInputs, TemporalInputs
-from repro.core.segmentation import SegmentedEstimator
+from repro.core.segments import SegmentedEstimator
 
 SMALL_CIRCUITS = [
     examples.c17,
@@ -102,6 +104,31 @@ class TestParallelPipeline:
             rp = parallel.estimate()
             for line, dist in rs.distributions.items():
                 assert np.array_equal(dist, rp.distributions[line]), (line, p)
+
+    def test_parallel_sweeps_under_contention(self):
+        """Consumers on worker threads read their providers' captured
+        pair joints, never the providers' engines: with more workers
+        than cores and a tiny switch interval, a batched parallel sweep
+        neither trips the engine reentrancy guard nor drifts from the
+        serial result."""
+        circuit = generate.random_layered_circuit(16, 160, seed=5)
+        models = [IndependentInputs(p) for p in (0.2, 0.5, 0.7)]
+        serial = SegmentedEstimator(
+            circuit, max_gates_per_segment=6
+        ).estimate_many(models)
+        parallel = SegmentedEstimator(
+            circuit, max_gates_per_segment=6, parallelism=6
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                got = parallel.estimate_many(models)
+                for g, e in zip(got, serial):
+                    for line, dist in e.distributions.items():
+                        assert np.array_equal(g.distributions[line], dist), line
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_parallelism_one_is_serial_path(self):
         circuit = examples.c17()

@@ -110,14 +110,6 @@ class TestSegmentGraph:
             assert graph.owner[line] == owner
             assert line in graph.nodes[consumer].segment.inputs
 
-    def test_compat_shim_reexports(self):
-        from repro.core import segmentation
-
-        assert segmentation.SegmentedEstimator is SegmentedEstimator
-        assert segmentation._SegmentInputs is not None
-        assert segmentation._SegmentRegistry is not None
-        assert "SegmentGraph" in segmentation.__all__
-
 
 class TestRefinementAccuracy:
     """The PR's acceptance contract on the seeded demo circuits."""

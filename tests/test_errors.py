@@ -1,7 +1,5 @@
 """The consolidated ``repro.errors`` hierarchy and its compat shims."""
 
-import warnings
-
 import pytest
 
 from repro import errors
@@ -91,23 +89,6 @@ class TestHistoricalLocations:
 
 
 class TestDeprecatedAliases:
-    def test_estimator_alias_warns_and_is_identical(self):
-        import repro.core.estimator as estimator
-
-        with pytest.warns(DeprecationWarning, match="repro.core.estimator"):
-            alias = estimator.CliqueBudgetExceeded
-        assert alias is errors.CliqueBudgetExceeded
-
-    def test_estimator_alias_still_catches(self):
-        """An except clause on the alias catches the canonical raise."""
-        import repro.core.estimator as estimator
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            alias = estimator.CliqueBudgetExceeded
-        with pytest.raises(alias):
-            raise errors.CliqueBudgetExceeded("budget")
-
     def test_unknown_attribute_still_raises(self):
         import repro.core.estimator as estimator
 

@@ -64,7 +64,9 @@ class TestSupportSoundness:
             circuit, model, kernel="dense"
         ).compile()
         dense.estimate()
-        beliefs = dense._jt._engine.belief_factors()
+        beliefs = [
+            dense._jt.clique_belief(idx) for idx in range(len(dense._jt.cliques))
+        ]
         assert schedule.orders == dense._jt._schedule.orders
         checked = 0
         for idx, mask in enumerate(schedule.supports):
@@ -181,7 +183,7 @@ class TestPackedInstall:
         # The engine holds the last install of each clique, cast to the
         # batch dtype after packing.
         for jt, idx, expect in installed.values():
-            psi = jt._batch_engine._psi[idx]
+            psi = jt._engine._psi[idx]
             assert psi.dtype == dtype
             assert psi.tobytes() == expect.astype(dtype).tobytes()
         return len(installed)
