@@ -22,6 +22,10 @@ closed-loop clients:
   ``bitwise_equal`` flag: a post-run cache *hit* for the hottest
   scenario is compared byte-for-byte against a fresh, uncached
   in-process propagation.
+- ``mean_batch_size`` (batched and cached rows) and
+  ``deduped_requests`` (cached rows, batch rows answered by another
+  row's propagation) -- ``/metrics`` counter deltas over the reported
+  repeat of that cell.
 - ``speedup`` (batched rows) -- batched over unbatched scenarios/sec
   at the same concurrency.
 - ``cached_speedup`` (cached rows) -- cached over *batched*
@@ -53,7 +57,7 @@ import argparse
 import json
 import platform
 import sys
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 try:  # package import (pytest benchmarks/, repo-root scripts)
     from benchmarks.common import add_store_argument, parse_csv_names, store_report
@@ -74,12 +78,19 @@ BENCH_SCHEMA_VERSION = 2
 MODES = ("unbatched", "batched", "cached")
 
 
-def _cache_counts(server: EstimationServer) -> Tuple[int, int]:
-    """(hits, misses) so far, or (0, 0) when the cache is off."""
-    if server.rcache is None:
-        return 0, 0
-    stats = server.rcache.stats()
-    return int(stats["hits"]), int(stats["misses"])
+def _counters(client: ServeClient) -> Dict[str, int]:
+    """The ``/metrics`` counters a row reports, as of now: batcher
+    items/batches/deduped and result-cache hits/misses (0 when the
+    cache is off)."""
+    meta = client.metrics()["meta"]
+    cache = meta["result_cache"] or {"hits": 0, "misses": 0}
+    return {
+        "items": meta["batcher"]["items"],
+        "batches": meta["batcher"]["batches"],
+        "deduped": meta["batcher"]["deduped"],
+        "hits": cache["hits"],
+        "misses": cache["misses"],
+    }
 
 
 def _verify_cached_bitwise(
@@ -145,6 +156,7 @@ def bench_mode(
     workload = cached_workload if mode == "cached" else "uniform"
     rows: List[Dict[str, object]] = []
     with EstimationServer(config) as server:
+        client = ServeClient(server.address)
         for name in circuits:
             for concurrency in concurrency_levels:
                 # Best of ``repeats`` runs per cell (the repo-wide
@@ -152,13 +164,14 @@ def bench_mode(
                 # shared box is one-sided noise -- interference only
                 # ever slows it down.  Each repeat's salt changes every
                 # scenario, so a cached repeat never rides the previous
-                # repeat's entries; its hit rate comes from the
-                # hits/misses counter deltas it contributed itself.
+                # repeat's entries.  The row's batch and cache figures
+                # are the /metrics counter deltas of the best repeat
+                # alone, not of the server's lifetime.
                 best = None
-                best_hit_rate: Optional[float] = None
+                best_counts: Dict[str, int] = {}
                 best_salt = 0.0
                 for r in range(repeats):
-                    hits0, misses0 = _cache_counts(server)
+                    before = _counters(client)
                     report = run_load(
                         server.address,
                         name,
@@ -169,14 +182,10 @@ def bench_mode(
                         workload=workload,
                     )
                     if best is None or report.scenarios_per_sec > best.scenarios_per_sec:
+                        after = _counters(client)
                         best = report
                         best_salt = float(r)
-                        if mode == "cached":
-                            hits1, misses1 = _cache_counts(server)
-                            lookups = (hits1 - hits0) + (misses1 - misses0)
-                            best_hit_rate = (
-                                (hits1 - hits0) / lookups if lookups else 0.0
-                            )
+                        best_counts = {k: after[k] - before[k] for k in after}
                 report = best
                 row: Dict[str, object] = {
                     "circuit": name,
@@ -188,18 +197,24 @@ def bench_mode(
                     "p50_latency_seconds": report.p50_latency_seconds,
                     "p99_latency_seconds": report.p99_latency_seconds,
                 }
+                if mode in ("batched", "cached"):
+                    row["mean_batch_size"] = (
+                        best_counts["items"] / best_counts["batches"]
+                        if best_counts["batches"] else 0.0
+                    )
+                hit_note = ""
                 if mode == "cached":
+                    lookups = best_counts["hits"] + best_counts["misses"]
                     row["workload"] = workload
-                    row["cache_hit_rate"] = best_hit_rate
+                    row["cache_hit_rate"] = (
+                        best_counts["hits"] / lookups if lookups else 0.0
+                    )
+                    row["deduped_requests"] = best_counts["deduped"]
                     row["bitwise_equal"] = _verify_cached_bitwise(
                         server, name, best_salt
                     )
+                    hit_note = f"  hit_rate {row['cache_hit_rate']:5.2f}"
                 rows.append(row)
-                hit_note = (
-                    f"  hit_rate {best_hit_rate:5.2f}"
-                    if best_hit_rate is not None
-                    else ""
-                )
                 print(
                     f"{name:>10s}  {mode:>9s}  c={concurrency:<3d} "
                     f"{report.scenarios_per_sec:9.1f}/s  "
@@ -208,12 +223,6 @@ def bench_mode(
                     + hit_note
                     + (f"  errors={report.errors}" if report.errors else "")
                 )
-        batcher = server.batcher.stats
-        for row in rows:
-            if mode in ("batched", "cached"):
-                row["mean_batch_size"] = batcher.mean_batch_size()
-            if mode == "cached":
-                row["deduped_requests"] = batcher.deduped
     return rows
 
 

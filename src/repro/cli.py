@@ -444,6 +444,13 @@ def _cmd_fuzz(args) -> int:
     return 0 if report.ok else 1
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _cmd_serve(args) -> None:
     """Run the resident estimation server until SIGTERM/SIGINT."""
     from repro.serve import EstimationServer, ServerConfig
@@ -460,7 +467,7 @@ def _cmd_serve(args) -> None:
         max_batch=args.max_batch,
         linger_ms=args.linger_ms,
         workers=args.workers,
-        result_cache_entries=0 if args.no_result_cache else args.result_cache_entries,
+        result_cache_entries=args.result_cache_entries,
     )
     server = EstimationServer(config)
     install_signal_handlers(server)
@@ -468,7 +475,7 @@ def _cmd_serve(args) -> None:
         f"repro-serve listening on {server.address} "
         f"(max_batch={config.max_batch}, linger={config.linger_ms}ms, "
         f"engines/model={config.engines_per_model}, "
-        f"result_cache={config.result_cache_entries})",
+        f"result_cache_entries={config.result_cache_entries})",
         flush=True,
     )
     server.serve_forever()
@@ -884,12 +891,11 @@ def build_parser() -> argparse.ArgumentParser:
                          "(default: 2.0)")
     pv.add_argument("--workers", type=int, default=2,
                     help="batch drain threads (default: 2)")
-    pv.add_argument("--result-cache-entries", type=int, default=4096,
-                    dest="result_cache_entries", metavar="N",
+    pv.add_argument("--result-cache-entries", type=_non_negative_int,
+                    default=4096, metavar="N",
                     help="LRU capacity of the fingerprint-keyed result cache "
-                         "(exact scenario repeats replay without propagating)")
-    pv.add_argument("--no-result-cache", action="store_true",
-                    help="disable result caching (every request propagates)")
+                         "(exact scenario repeats replay without propagating; "
+                         "0 disables it)")
     pv.add_argument("--no-cache", action="store_true",
                     help="skip the on-disk compile cache")
     pv.add_argument("--cache-dir", default=None, metavar="DIR",

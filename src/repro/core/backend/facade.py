@@ -40,10 +40,9 @@ from typing import Any, Optional, Sequence, Tuple, Union
 
 from repro.circuits.netlist import Circuit
 from repro.core.backend.base import CompiledModel
-from repro.core.backend.cache import CompileCache, compile_fingerprint
+from repro.core.backend.cache import CompileCache
 from repro.core.backend.registry import get_backend
 from repro.core.inputs import IndependentInputs, InputModel
-from repro.core.rcache import ResultCache, scenario_digest
 from repro.core.validate import validate_circuit, validate_input_model
 from repro.errors import CompileError, FallbackExhausted, PropagationError
 from repro.obs.metrics import get_metrics
@@ -53,7 +52,6 @@ __all__ = ["DEFAULT_FALLBACK_CHAIN", "compile_model", "estimate", "estimate_many
 
 CacheSpec = Union[None, bool, str, os.PathLike, CompileCache]
 FallbackSpec = Union[None, bool, str, Sequence[str]]
-ResultCacheSpec = Union[None, bool, int, ResultCache]
 
 #: The degradation ladder used by ``fallback=True``: exact single-BN
 #: first, the segmented approximation next, and the cheap local-cone
@@ -74,57 +72,6 @@ def resolve_cache(cache: CacheSpec) -> Optional[CompileCache]:
     if isinstance(cache, CompileCache):
         return cache
     return CompileCache(cache)
-
-
-def resolve_result_cache(result_cache: ResultCacheSpec) -> Optional[ResultCache]:
-    """Normalize the ``result_cache`` argument to a :class:`ResultCache`.
-
-    ``None``/``False`` disable result caching, ``True`` builds a cache
-    with the default capacity, an ``int`` sets ``max_entries``, and a
-    :class:`ResultCache` instance is used as-is (share one across calls
-    to actually get hits).
-    """
-    if result_cache is None or result_cache is False:
-        return None
-    if result_cache is True:
-        return ResultCache()
-    if isinstance(result_cache, ResultCache):
-        return result_cache
-    return ResultCache(max_entries=int(result_cache))
-
-
-def _result_key(
-    circuit: Circuit,
-    backend: str,
-    inputs: Optional[InputModel],
-    options: dict,
-    query_inputs: InputModel,
-) -> Tuple[str, str]:
-    """``(compile fingerprint, scenario digest)`` result-cache key.
-
-    The fingerprint half is exactly the compile-cache content key of
-    the *requested* backend and options, so anything that would have
-    produced a different compiled model (circuit edit, backend or
-    option change, input-structure change, artifact schema bump) also
-    misses the result cache.
-    """
-    backend_obj = get_backend(backend)
-    fingerprint = compile_fingerprint(
-        circuit,
-        backend_obj.name,
-        inputs,
-        backend_obj.cache_token(**options),
-    )
-    return fingerprint, scenario_digest(circuit, query_inputs)
-
-
-def _replay_result(payload: dict, compiled_cache_hit: Optional[bool] = None):
-    """Materialize a cached payload as a fresh :class:`SwitchingEstimate`."""
-    from repro.core.rcache import replay_estimate
-
-    result = replay_estimate(payload)
-    result.cache_hit = compiled_cache_hit
-    return result
 
 
 def _resolve_chain(backend: str, fallback: FallbackSpec) -> Tuple[str, ...]:
@@ -230,7 +177,6 @@ def estimate(
     fallback: FallbackSpec = None,
     budget_seconds: Optional[float] = None,
     validate: bool = True,
-    result_cache: ResultCacheSpec = None,
     **options: Any,
 ):
     """Estimate switching activity in one call.
@@ -241,15 +187,6 @@ def estimate(
 
     Parameters
     ----------
-    result_cache:
-        Optional :class:`~repro.core.rcache.ResultCache` (or ``True`` /
-        max-entry count).  An exact repeat of a prior request -- same
-        compile fingerprint, same canonical scenario digest -- replays
-        the stored marginals bitwise-identically without propagating;
-        the returned estimate carries ``result_cache_hit=True``.  Only
-        clean results are stored: an estimate produced through a
-        degradation step (``fallbacks`` nonempty, which may depend on
-        ``budget_seconds`` wall-clock) is never cached.
     fallback:
         ``True`` for the default degradation chain
         (:data:`DEFAULT_FALLBACK_CHAIN`), or a backend name / sequence
@@ -268,13 +205,6 @@ def estimate(
     if validate:
         validate_pass(circuit, inputs)
     query_inputs = inputs if inputs is not None else IndependentInputs(0.5)
-    rcache_obj = resolve_result_cache(result_cache)
-    rkey = None
-    if rcache_obj is not None:
-        rkey = _result_key(circuit, backend, inputs, options, query_inputs)
-        payload = rcache_obj.get(rkey)
-        if payload is not None:
-            return _replay_result(payload)
     start = time.perf_counter()
     events: list = []
     last_error: Optional[Exception] = None
@@ -318,10 +248,6 @@ def estimate(
             continue
         result.fallbacks = tuple(events)
         result.cache_hit = model.cache_hit
-        if rcache_obj is not None:
-            result.result_cache_hit = False
-            if not events:
-                rcache_obj.put(rkey, result)
         return result
     raise FallbackExhausted(  # pragma: no cover - chain is never empty
         f"{circuit.name}: empty fallback chain"
@@ -336,7 +262,6 @@ def estimate_many(
     batch_size: Optional[int] = None,
     validate: bool = True,
     dtype: Optional[str] = None,
-    result_cache: ResultCacheSpec = None,
     **options: Any,
 ):
     """Sweep K input-statistics scenarios against one compile.
@@ -356,9 +281,7 @@ def estimate_many(
     requests float32 batch buffers from propagating backends (half the
     batch memory, ~1e-6 relative tolerance; other backends ignore it).
     Duplicate scenarios propagate once (``query_many`` deduplicates by
-    scenario digest); ``result_cache`` replays exact repeats of
-    previously answered scenarios (see :func:`estimate`) and propagates
-    only the misses, in one batch.
+    scenario digest).
     There is no fallback chain here -- a failing backend raises its
     typed error directly.
     """
@@ -368,25 +291,6 @@ def estimate_many(
     first = models[0]
     if validate:
         validate_pass(circuit, *models)
-    rcache_obj = resolve_result_cache(result_cache)
-    keys = None
-    hits: dict = {}
-    if rcache_obj is not None:
-        backend_obj = get_backend(backend)
-        fingerprint = compile_fingerprint(
-            circuit,
-            backend_obj.name,
-            first,
-            backend_obj.cache_token(**options),
-        )
-        keys = [(fingerprint, scenario_digest(circuit, m)) for m in models]
-        for index, key in enumerate(keys):
-            payload = rcache_obj.get(key)
-            if payload is not None:
-                hits[index] = _replay_result(payload)
-        if len(hits) == len(models):
-            return [hits[index] for index in range(len(models))]
-    miss_indices = [i for i in range(len(models)) if i not in hits]
     compiled = compile_model(
         circuit,
         first,
@@ -395,17 +299,8 @@ def estimate_many(
         validate=False,
         **options,
     )
-    results = compiled.query_many(
-        [models[i] for i in miss_indices],
-        batch_size=batch_size,
-        dtype=dtype,
-    )
-    ordered = list(hits.get(i) for i in range(len(models)))
-    for index, result in zip(miss_indices, results):
+    results = compiled.query_many(models, batch_size=batch_size, dtype=dtype)
+    for result in results:
         result.cache_hit = compiled.cache_hit
         result.fallbacks = ()
-        if rcache_obj is not None:
-            result.result_cache_hit = False
-            rcache_obj.put(keys[index], result)
-        ordered[index] = result
-    return ordered
+    return results

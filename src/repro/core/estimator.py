@@ -56,10 +56,6 @@ class SwitchingEstimate:
     #: how the facade obtained the compiled model: ``True`` (cache hit),
     #: ``False`` (miss), or ``None`` (no cache consulted / direct use)
     cache_hit: Optional[bool] = None
-    #: whether the *result* came out of a fingerprint-keyed result cache
-    #: (``repro.core.rcache``): ``True`` (replayed), ``False`` (freshly
-    #: propagated through a consulted cache), ``None`` (no result cache)
-    result_cache_hit: Optional[bool] = None
     #: boundary-refinement iterations actually run (segmented backend
     #: with ``refine > 0``; 0 everywhere else)
     refine_iterations: int = 0

@@ -25,7 +25,8 @@ future-work extension:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from collections.abc import Mapping
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 

@@ -13,10 +13,10 @@ This module supplies the two halves of that reuse:
   correlated groups were listed in); any perturbed probability changes
   the digest.
 - :class:`ResultCache` -- a thread-safe LRU of ``(compile fingerprint,
-  scenario digest) -> stored marginal stacks``.  The fingerprint half
+  scenario digest) -> stored result payload``.  The fingerprint half
   is the compile-cache content key (circuit + backend + options +
   artifact schema), so a cache entry can never survive anything that
-  would have changed the compiled model.
+  would have changed the compiled model.  The server is its one user.
 
 ``EstimatorCompiledModel.query_many`` keys its sweep dedup with the same
 digest: a sweep's dedup is a result cache that lives for one call.
@@ -35,7 +35,7 @@ from repro.obs.metrics import get_metrics
 
 __all__ = [
     "ResultCache",
-    "replay_estimate",
+    "result_payload",
     "scenario_digest",
 ]
 
@@ -75,36 +75,38 @@ def scenario_digest(circuit, input_model) -> str:
     return h.hexdigest()
 
 
-def replay_estimate(payload: "Dict[str, Any]"):
-    """Materialize a stored cache payload as a fresh
-    :class:`~repro.core.estimator.SwitchingEstimate` marked
-    ``result_cache_hit=True`` (imported lazily to keep this module
-    import-light under the estimator)."""
-    from repro.core.estimator import SwitchingEstimate
-
-    return SwitchingEstimate(
-        distributions=payload["distributions"],
-        compile_seconds=0.0,
-        propagate_seconds=0.0,
-        method=payload["method"],
-        segments=payload["segments"],
-        fallbacks=(),
-        cache_hit=None,
-        result_cache_hit=True,
-        refine_iterations=payload["refine_iterations"],
-        refine_delta=payload["refine_delta"],
-    )
+def result_payload(estimate) -> Dict[str, Any]:
+    """The stored form of one :class:`SwitchingEstimate`: copies of its
+    ``(4,)`` per-line marginals, the rendered scalars a response needs
+    (per-line switching activities, their mean) and the method fields.
+    Hits and fresh results are rendered from this one form."""
+    distributions = {
+        line: np.array(arr, copy=True)
+        for line, arr in estimate.distributions.items()
+    }
+    # One pass over the lines; the mean is SwitchingEstimate.mean_activity's.
+    activities = estimate.activities
+    mean = float(np.mean(list(activities.values()))) if activities else 0.0
+    return {
+        "distributions": distributions,
+        "activities": activities,
+        "mean_activity": mean,
+        "method": estimate.method,
+        "segments": estimate.segments,
+        "refine_iterations": estimate.refine_iterations,
+        "refine_delta": estimate.refine_delta,
+        "nbytes": sum(arr.nbytes for arr in distributions.values()),
+    }
 
 
 class ResultCache:
     """Thread-safe LRU of stored switching-estimate payloads.
 
     Keys are ``(compile fingerprint, scenario digest)`` tuples; values
-    are the stored ``(4,)`` per-line marginals plus the method fields a
-    replay needs.  Arrays are copied both into and out of the cache, so
-    neither the producer's engine buffers nor a consumer's mutations
-    can corrupt a stored result -- a hit replays the bitwise-identical
-    marginals of the propagation that filled it.
+    are :func:`result_payload` dicts.  Arrays are copied both into and
+    out of the cache, so neither the producer's engine buffers nor a
+    consumer's mutations can corrupt a stored result -- a hit replays
+    the bitwise-identical marginals of the propagation that filled it.
     """
 
     def __init__(self, max_entries: int = 4096):
@@ -123,12 +125,12 @@ class ResultCache:
     def get(
         self, key: Tuple[str, str], need_arrays: bool = True
     ) -> Optional[Dict[str, Any]]:
-        """Stored payload for ``key`` (arrays copied), or ``None``.
+        """Stored payload for ``key``, or ``None``.
 
-        ``need_arrays=False`` omits the per-line marginal copies and
-        returns only the precomputed scalar views (``activities``,
-        ``mean_activity``) -- the serving hot path for ``detail`` modes
-        that never touch the distributions.
+        The scalar fields are the stored ones and must not be mutated;
+        the per-line marginals are copied out, and only when
+        ``need_arrays`` (``False`` is the serving hot path for
+        ``detail`` modes that never touch the distributions).
         """
         with self._lock:
             payload = self._entries.get(key)
@@ -145,46 +147,22 @@ class ResultCache:
                 registry.counter("rcache.hits").inc(1)
         if payload is None:
             return None
-        view = {
-            "activities": dict(payload["activities"]),
-            "mean_activity": payload["mean_activity"],
-            "method": payload["method"],
-            "segments": payload["segments"],
-            "refine_iterations": payload["refine_iterations"],
-            "refine_delta": payload["refine_delta"],
-        }
+        view = dict(payload)
         if need_arrays:
             view["distributions"] = {
                 line: arr.copy()
                 for line, arr in payload["distributions"].items()
             }
+        else:
+            del view["distributions"]
         return view
 
-    def put(self, key: Tuple[str, str], estimate) -> None:
-        """Store one :class:`SwitchingEstimate`'s replayable payload.
-
-        Alongside the bitwise marginal copies, the rendered scalars a
-        response needs (per-line switching activities, their mean) are
-        computed once here so that every later hit replays stored
-        floats instead of re-deriving them from the arrays.
-        """
-        distributions = {
-            line: np.array(arr, copy=True)
-            for line, arr in estimate.distributions.items()
-        }
-        size = sum(arr.nbytes for arr in distributions.values())
-        payload = {
-            "distributions": distributions,
-            "activities": {
-                line: float(p) for line, p in estimate.activities.items()
-            },
-            "mean_activity": float(estimate.mean_activity()),
-            "method": estimate.method,
-            "segments": estimate.segments,
-            "refine_iterations": estimate.refine_iterations,
-            "refine_delta": estimate.refine_delta,
-            "nbytes": size,
-        }
+    def put(self, key: Tuple[str, str], estimate) -> Dict[str, Any]:
+        """Store one :class:`SwitchingEstimate`'s :func:`result_payload`
+        and return it (it is the stored entry: read it, do not mutate
+        it)."""
+        payload = result_payload(estimate)
+        size = payload["nbytes"]
         evicted = 0
         with self._lock:
             old = self._entries.pop(key, None)
@@ -203,6 +181,7 @@ class ResultCache:
                 registry.counter("rcache.evictions").inc(evicted)
             registry.gauge("rcache.bytes").set(float(self.bytes))
             registry.gauge("rcache.entries").set(float(len(self._entries)))
+        return payload
 
     def clear(self) -> None:
         with self._lock:

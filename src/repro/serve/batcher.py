@@ -30,7 +30,7 @@ import time
 from collections import OrderedDict, deque
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, List, Tuple
+from typing import Any, Callable, Deque, List, Tuple
 
 from repro.obs.metrics import get_metrics
 
@@ -39,17 +39,11 @@ __all__ = ["BatchStats", "DynamicBatcher"]
 
 @dataclass
 class BatchStats:
-    """Cumulative batcher accounting (also mirrored into ``repro.obs``).
-
-    ``items`` counts batch *slots* (unique propagations); ``deduped``
-    counts requests that piggybacked on an already-parked identical
-    slot, so ``items + deduped`` is the number of requests served.
-    """
+    """Cumulative batcher accounting (also mirrored into ``repro.obs``)."""
 
     items: int = 0
     batches: int = 0
     full_batches: int = 0
-    deduped: int = 0
     lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def record(self, size: int, max_batch: int) -> None:
@@ -64,36 +58,19 @@ class BatchStats:
             registry.counter("serve.batch.batches").inc(1)
             registry.histogram("serve.batch.size").observe(float(size))
 
-    def record_dedup(self) -> None:
-        with self.lock:
-            self.deduped += 1
-        registry = get_metrics()
-        if registry.enabled:
-            registry.counter("serve.batcher.dedup").inc(1)
-
     def mean_batch_size(self) -> float:
         with self.lock:
             return self.items / self.batches if self.batches else 0.0
 
 
-class _Slot:
-    """One batch slot: an item plus every future waiting on its result."""
-
-    __slots__ = ("item", "dedup_key", "futures")
-
-    def __init__(self, item: Any, dedup_key: Any) -> None:
-        self.item = item
-        self.dedup_key = dedup_key
-        self.futures: List[Future] = [Future()]
-
-
 class _Lane:
-    """Pending slots for one model key; drained by at most one worker."""
+    """Pending ``(item, future)`` pairs for one model key; drained by at
+    most one worker."""
 
     __slots__ = ("items", "claimed", "oldest")
 
     def __init__(self) -> None:
-        self.items: Deque[_Slot] = deque()
+        self.items: Deque[Tuple[Any, Future]] = deque()
         self.claimed = False
         self.oldest = 0.0
 
@@ -151,36 +128,20 @@ class DynamicBatcher:
     # Producer side
     # ------------------------------------------------------------------
 
-    def submit(self, key: str, item: Any, dedup_key: Any = None) -> "Future[Any]":
-        """Enqueue one item for ``key``'s lane; resolves with its result.
-
-        ``dedup_key`` (optional, hashable) enables single-flight
-        coalescing: when an identical ``dedup_key`` is already *parked*
-        in the lane -- submitted but not yet handed to a worker -- this
-        request shares that slot and its one propagation fans out to
-        every waiting future.  Slots already being propagated are never
-        joined (their batch is in flight), so dedup only ever removes
-        bitwise-identical duplicate work from a pending batch.
-        """
+    def submit(self, key: str, item: Any) -> "Future[Any]":
+        """Enqueue one item for ``key``'s lane; resolves with its result."""
+        future: "Future[Any]" = Future()
         with self._cond:
             if self._closed:
                 raise RuntimeError("batcher is closed")
             lane = self._lanes.get(key)
             if lane is None:
                 lane = self._lanes[key] = _Lane()
-            if dedup_key is not None:
-                for slot in lane.items:
-                    if slot.dedup_key == dedup_key:
-                        future: "Future[Any]" = Future()
-                        slot.futures.append(future)
-                        self.stats.record_dedup()
-                        return future
             if not lane.items:
                 lane.oldest = time.monotonic()
-            slot = _Slot(item, dedup_key)
-            lane.items.append(slot)
+            lane.items.append((item, future))
             self._cond.notify()
-            return slot.futures[0]
+        return future
 
     def close(self, timeout: float = 5.0) -> None:
         """Stop accepting work, drain pending lanes, join the workers."""
@@ -235,8 +196,8 @@ class DynamicBatcher:
                 lane.claimed = False
             self._process(key, batch)
 
-    def _process(self, key: str, batch: List[_Slot]) -> None:
-        items = [slot.item for slot in batch]
+    def _process(self, key: str, batch: List[Tuple[Any, Future]]) -> None:
+        items = [item for item, _ in batch]
         self.stats.record(len(items), self.max_batch)
         try:
             results = self._run_batch(key, items)
@@ -246,12 +207,10 @@ class DynamicBatcher:
                     f"{len(items)} items"
                 )
         except BaseException as exc:
-            for slot in batch:
-                for future in slot.futures:
-                    if not future.cancelled():
-                        future.set_exception(exc)
-            return
-        for slot, result in zip(batch, results):
-            for future in slot.futures:
+            for _, future in batch:
                 if not future.cancelled():
-                    future.set_result(result)
+                    future.set_exception(exc)
+            return
+        for (_, future), result in zip(batch, results):
+            if not future.cancelled():
+                future.set_result(result)

@@ -20,8 +20,8 @@ pre-existing behavior) gives every request a distinct scenario;
 ``"zipf:A"``, ``"hotspot:P"``, and ``"burst:N"`` replay a small
 scenario universe with the skew real sweep traffic has (synthesis
 loops hammering one operating point, bursts of identical what-if
-queries), which is what the server's result cache and single-flight
-dedup are measured against.
+queries), which is what the server's result cache and batch dedup
+are measured against.
 
 Latency percentiles use the nearest-rank method on the full sample
 set (no reservoir -- the load run owns its samples).

@@ -24,15 +24,16 @@ replica served before (the concurrency stress test pins this).  A
 ``ZeroBeliefError`` inside a shared batch triggers a per-scenario
 retry so one degenerate scenario fails alone, not its batch-mates.
 
-Two reuse layers ride on that purity without weakening it: the
+Scenario reuse rides on that purity without weakening it, in two
+places keyed by the canonical digest of the *induced input CPDs* (the
+only scenario-dependent propagation inputs): across requests, the
 fingerprint-keyed result cache (``repro.core.rcache``) replays the
-stored marginals of a previous full pass for an exact scenario repeat
-(same pool key, same canonical scenario digest), and the batcher's
-single-flight dedup merges concurrent identical requests into one
-batch slot.  Both key on the canonical digest of the *induced input
-CPDs*, the only scenario-dependent propagation inputs, so a hit or a
-merged request returns exactly the bytes a fresh propagation would
-have produced.
+stored result of a previous full pass for an exact repeat (same pool
+key, same digest); within a batch, ``query_many`` propagates each
+distinct scenario once.  Either way a response carries exactly the
+bytes a fresh propagation would have produced.  Admission computes
+each scenario's digest once; building the induced CPDs it hashes is
+also what rejects a malformed spec with a 400.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import json
 import signal
 import threading
 import time
-from collections import OrderedDict
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -49,18 +50,36 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.circuits import suite
 from repro.circuits.netlist import Circuit
+from repro.core.backend.backends import EstimatorCompiledModel
 from repro.core.backend.base import CompiledModel
 from repro.core.backend.facade import resolve_cache
 from repro.core.estimator import SwitchingEstimate
-from repro.core.rcache import ResultCache, scenario_digest
+from repro.core.rcache import ResultCache, result_payload, scenario_digest
 from repro.core.inputs import InputModel, input_model_from_spec
-from repro.errors import ReproError, UnknownCircuitError, ZeroBeliefError
+from repro.errors import ReproError, UnknownCircuitError
 from repro.obs.metrics import enable_metrics, get_metrics
 from repro.obs.report import build_report
 from repro.serve.batcher import DynamicBatcher
 from repro.serve.pool import ModelPool, PoolTimeout, PooledModel
 
-__all__ = ["EstimationServer", "ServerConfig", "install_signal_handlers"]
+__all__ = [
+    "MAX_BODY_BYTES",
+    "BodyTooLarge",
+    "EstimationServer",
+    "ServerConfig",
+    "install_signal_handlers",
+]
+
+#: Largest request body the server reads; a longer ``Content-Length``
+#: is answered with a 413 without reading the body.
+MAX_BODY_BYTES = 16 * 1024 * 1024
+
+#: A result-cache key: ``(pool entry key, scenario digest)``.
+Key = Tuple[str, str]
+
+
+class BodyTooLarge(ReproError):
+    """A request declared a body longer than :data:`MAX_BODY_BYTES`."""
 
 
 @dataclass
@@ -115,18 +134,10 @@ class EstimationServer:
         self.started = time.time()
         self._circuits: Dict[str, Circuit] = {}
         self._circuits_lock = threading.Lock()
-        # Exact-spec digest memo: (pool key, canonical spec JSON) ->
-        # scenario digest.  A spec that repeats byte-for-byte (the
-        # skewed-traffic common case) skips rebuilding its induced
-        # input CPDs; a differently-spelled equivalent spec misses the
-        # memo, recomputes the canonical digest, and still collides at
-        # the cache-key level.  Bounded FIFO, same order of size as the
-        # result cache it fronts.
-        self._digest_memo: "OrderedDict[Tuple[str, str], str]" = OrderedDict()
-        self._digest_memo_lock = threading.Lock()
-        self._digest_memo_limit = max(
-            1024, 2 * self.config.result_cache_entries
-        )
+        #: batch rows answered by another row's propagation
+        #: (``query_many``'s digest dedup)
+        self.deduped = 0
+        self._deduped_lock = threading.Lock()
         handler = _make_handler(self)
         server_cls = type(
             "ReproHTTPServer",
@@ -218,131 +229,80 @@ class EstimationServer:
             self._circuits[spec] = circuit
         return circuit
 
-    def _parse_scenario(self, circuit: Circuit, spec: Any) -> InputModel:
+    def _scenario_key(self, circuit: Circuit, spec: Any) -> Tuple[InputModel, str]:
+        """Admit one scenario spec: its input model and canonical digest
+        (the scenario half of the result-cache key).
+
+        The digest builds every induced input CPD, so bad values -- an
+        out-of-range probability, a trace that misses an input -- fail
+        admission with a 400 here instead of surfacing mid-propagation.
+        """
         if not isinstance(spec, dict):
             raise ReproError(f"scenario must be a spec object, got {type(spec).__name__}")
         try:
             model = input_model_from_spec(spec)
-            # Probe each input's marginal (a few tiny array builds, no
-            # CPD construction): bad values -- out-of-range p_one, a
-            # misshapen matrix -- fail admission with a 400 here
-            # instead of surfacing mid-propagation as a 500.
-            for name in circuit.inputs:
-                model.marginal_distribution(name)
-            return model
+            return model, scenario_digest(circuit, model)
         except ReproError:
             raise
         except (TypeError, ValueError, KeyError) as exc:
             raise ReproError(f"malformed scenario spec: {exc}") from None
 
-    def _scenario_key(
-        self, entry: PooledModel, scenario: InputModel, raw: Any
-    ) -> Tuple[str, str]:
-        """``(fingerprint, digest)`` result-cache key for one scenario.
-
-        The digest half is memoized on the spec's canonical JSON bytes:
-        skewed traffic repeats specs verbatim, and rebuilding the
-        induced input CPDs per request would dominate the hit path on
-        wide circuits.  A differently-spelled equivalent spec misses
-        the memo, pays the canonical :func:`scenario_digest` once, and
-        still collides at the cache-key level.
-        """
-        token = None
-        if isinstance(raw, dict):
-            try:
-                token = json.dumps(raw, sort_keys=True, separators=(",", ":"))
-            except (TypeError, ValueError):
-                token = None
-        if token is not None:
-            memo_key = (entry.key, token)
-            with self._digest_memo_lock:
-                digest = self._digest_memo.get(memo_key)
-            if digest is not None:
-                return (entry.key, digest)
-        digest = scenario_digest(entry.model.circuit, scenario)
-        if token is not None:
-            with self._digest_memo_lock:
-                self._digest_memo[memo_key] = digest
-                while len(self._digest_memo) > self._digest_memo_limit:
-                    self._digest_memo.popitem(last=False)
-        return (entry.key, digest)
-
-    def _lookup(
-        self, entry: PooledModel, scenario: InputModel, raw: Any, detail: str
-    ) -> "Tuple[Optional[Tuple[str, str]], Optional[Dict[str, Any]]]":
-        """Result-cache probe for one admitted scenario.
-
-        Returns ``(key, stored payload)``; the key is ``None`` when
-        result caching is off, the payload is ``None`` on a miss.  The
-        key's fingerprint half is the pool entry's compile-cache key,
-        so a cached result can never outlive anything that would have
-        changed the compiled model.  Marginal arrays are only copied
-        out when ``detail`` actually renders them.
-        """
+    def _store(self, key: Key, result: SwitchingEstimate) -> Dict[str, Any]:
+        """The stored form of a fresh result, kept in the result cache
+        when it is on."""
         if self.rcache is None:
-            return None, None
-        key = self._scenario_key(entry, scenario, raw)
-        payload = self.rcache.get(key, need_arrays=(detail == "distributions"))
-        return key, payload
+            return result_payload(result)
+        return self.rcache.put(key, result)
 
-    def _store(
-        self, key: Optional[Tuple[str, str]], result: SwitchingEstimate
-    ) -> None:
-        if self.rcache is not None and key is not None:
-            result.result_cache_hit = False
-            self.rcache.put(key, result)
+    def _answer(
+        self, entry: PooledModel, scenarios: List[InputModel], keys: List[Key], detail: str
+    ) -> List[Any]:
+        """One response -- or the scenario's own error -- per scenario.
+
+        Hits render from the result cache; the misses are all submitted
+        to the batcher before the first wait, so they can share a batch.
+        """
+        pending: List[Any] = []
+        for scenario, key in zip(scenarios, keys):
+            stored = None
+            if self.rcache is not None:
+                stored = self.rcache.get(key, need_arrays=(detail == "distributions"))
+            if stored is not None:
+                pending.append(self._response(entry, stored, detail, True))
+            else:
+                pending.append(self.batcher.submit(entry.key, (entry, scenario, key[1])))
+        deadline = time.monotonic() + self.config.request_timeout
+        hit = False if self.rcache is not None else None
+        answers = []
+        for key, item in zip(keys, pending):
+            if isinstance(item, Future):
+                item = item.result(timeout=max(0.0, deadline - time.monotonic()))
+                if not isinstance(item, BaseException):
+                    item = self._response(entry, self._store(key, item), detail, hit)
+            answers.append(item)
+        return answers
 
     def handle_estimate(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        entry, scenarios, raw, detail = self._admit(payload, one=True)
-        key, cached = self._lookup(entry, scenarios[0], raw[0], detail)
-        if cached is not None:
-            return self._cached_payload(entry, cached, detail)
-        future = self.batcher.submit(
-            entry.key,
-            (entry, scenarios[0]),
-            dedup_key=key[1] if key is not None else None,
-        )
-        result = future.result(timeout=self.config.request_timeout)
-        if isinstance(result, BaseException):
-            raise result
-        self._store(key, result)
-        return self._estimate_payload(entry, result, detail)
+        answer = self._answer(*self._admit(payload, one=True))[0]
+        if isinstance(answer, BaseException):
+            raise answer
+        return answer
 
     def handle_estimate_many(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        entry, scenarios, raw, detail = self._admit(payload, one=False)
-        slots: List[Tuple[Optional[Tuple[str, str]], Any, Any]] = []
-        for scenario, raw_spec in zip(scenarios, raw):
-            key, cached = self._lookup(entry, scenario, raw_spec, detail)
-            if cached is not None:
-                slots.append((key, None, cached))
-            else:
-                future = self.batcher.submit(
-                    entry.key,
-                    (entry, scenario),
-                    dedup_key=key[1] if key is not None else None,
-                )
-                slots.append((key, future, None))
-        deadline = time.monotonic() + self.config.request_timeout
-        results = []
-        for key, future, cached in slots:
-            if cached is not None:
-                results.append(self._cached_payload(entry, cached, detail))
-                continue
-            result = future.result(timeout=max(0.0, deadline - time.monotonic()))
-            if isinstance(result, BaseException):
-                results.append(
-                    {"error": {"type": type(result).__name__, "message": str(result)}}
-                )
-            else:
-                self._store(key, result)
-                results.append(self._estimate_payload(entry, result, detail))
+        entry, scenarios, keys, detail = self._admit(payload, one=False)
+        results = [
+            {"error": {"type": type(answer).__name__, "message": str(answer)}}
+            if isinstance(answer, BaseException)
+            else answer
+            for answer in self._answer(entry, scenarios, keys, detail)
+        ]
         return {"circuit": entry.model.circuit.name, "results": results}
 
     _DETAILS = ("mean", "activities", "distributions")
 
     def _admit(
         self, payload: Dict[str, Any], one: bool
-    ) -> Tuple[PooledModel, List[InputModel], List[Any], str]:
+    ) -> Tuple[PooledModel, List[InputModel], List[Key], str]:
         if not isinstance(payload, dict):
             raise ReproError("request body must be a JSON object")
         spec = payload.get("circuit")
@@ -355,7 +315,7 @@ class EstimationServer:
             raw = payload.get("scenarios")
             if not isinstance(raw, list) or not raw:
                 raise ReproError('request needs a non-empty "scenarios" list')
-        scenarios = [self._parse_scenario(circuit, s) for s in raw]
+        admitted = [self._scenario_key(circuit, s) for s in raw]
         detail = payload.get("detail", "activities")
         if detail not in self._DETAILS:
             raise ReproError(
@@ -370,65 +330,54 @@ class EstimationServer:
             timeout=self.config.request_timeout,
             **options,
         )
-        return entry, scenarios, raw, detail
+        scenarios = [model for model, _ in admitted]
+        keys = [(entry.key, digest) for _, digest in admitted]
+        return entry, scenarios, keys, detail
 
-    def _cached_payload(
-        self, entry: PooledModel, payload: Dict[str, Any], detail: str
+    @staticmethod
+    def _response(
+        entry: PooledModel, stored: Dict[str, Any], detail: str, hit: Optional[bool]
     ) -> Dict[str, Any]:
-        """Response for a result-cache hit, rendered from the stored
-        floats (no estimate materialization, no activity recompute)."""
+        """Render one result from its stored form
+        (:func:`~repro.core.rcache.result_payload`); ``hit`` is
+        ``None`` when the result cache is off."""
         response = {
             "circuit": entry.model.circuit.name,
             "backend": entry.model.backend_name,
-            "method": payload["method"],
-            "mean_activity": payload["mean_activity"],
-            "result_cache_hit": True,
+            "method": stored["method"],
+            "mean_activity": stored["mean_activity"],
         }
+        if hit is not None:
+            response["result_cache_hit"] = hit
         if detail in ("activities", "distributions"):
-            response["activities"] = payload["activities"]
+            response["activities"] = dict(stored["activities"])
         if detail == "distributions":
             response["distributions"] = {
                 line: [float(v) for v in dist]
-                for line, dist in payload["distributions"].items()
+                for line, dist in stored["distributions"].items()
             }
         return response
-
-    def _estimate_payload(
-        self, entry: PooledModel, estimate: SwitchingEstimate, detail: str
-    ) -> Dict[str, Any]:
-        payload = {
-            "circuit": entry.model.circuit.name,
-            "backend": entry.model.backend_name,
-            "method": estimate.method,
-            "mean_activity": float(estimate.mean_activity()),
-        }
-        if estimate.result_cache_hit is not None:
-            payload["result_cache_hit"] = estimate.result_cache_hit
-        if detail in ("activities", "distributions"):
-            payload["activities"] = {
-                line: float(p) for line, p in estimate.activities.items()
-            }
-        if detail == "distributions":
-            payload["distributions"] = {
-                line: [float(v) for v in dist]
-                for line, dist in estimate.distributions.items()
-            }
-        return payload
 
     # ------------------------------------------------------------------
     # Batch execution (called from batcher worker threads)
     # ------------------------------------------------------------------
 
     def _run_batch(
-        self, key: str, items: List[Tuple[PooledModel, InputModel]]
+        self, key: str, items: List[Tuple[PooledModel, InputModel, str]]
     ) -> List[Any]:
         entry = items[0][0]
-        models = [model for _, model in items]
+        models = [model for _, model, _ in items]
         replica = entry.engines.checkout(timeout=self.config.request_timeout)
         try:
             try:
                 self._reset(replica)
-                return list(replica.query_many(models))
+                results = list(replica.query_many(models))
+                if isinstance(replica, EstimatorCompiledModel):
+                    # query_many propagated one row per distinct digest
+                    shared = len(items) - len({digest for *_, digest in items})
+                    with self._deduped_lock:
+                        self.deduped += shared
+                return results
             except Exception:
                 if len(models) == 1:
                     raise
@@ -478,7 +427,7 @@ class EstimationServer:
                     "items": self.batcher.stats.items,
                     "batches": self.batcher.stats.batches,
                     "full_batches": self.batcher.stats.full_batches,
-                    "deduped": self.batcher.stats.deduped,
+                    "deduped": self.deduped,
                     "mean_batch_size": self.batcher.stats.mean_batch_size(),
                 },
                 "result_cache": (
@@ -531,6 +480,12 @@ def _make_handler(server: EstimationServer):
                 # until the client hangs up.
                 self.close_connection = True
                 raise ReproError(f"invalid Content-Length {header!r}")
+            if length > MAX_BODY_BYTES:
+                # Unread, the body would desynchronize the connection.
+                self.close_connection = True
+                raise BodyTooLarge(
+                    f"Content-Length {length} exceeds {MAX_BODY_BYTES} bytes"
+                )
             raw = self.rfile.read(length) if length else b"{}"
             try:
                 return json.loads(raw.decode() or "{}")
@@ -544,6 +499,8 @@ def _make_handler(server: EstimationServer):
                 payload = fn()
             except PoolTimeout as exc:
                 self._error(endpoint, 503, exc)
+            except BodyTooLarge as exc:
+                self._error(endpoint, 413, exc)
             except ReproError as exc:
                 self._error(endpoint, 400, exc)
             except TimeoutError as exc:

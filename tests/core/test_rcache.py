@@ -1,4 +1,4 @@
-"""Result cache: canonical scenario digests, LRU semantics, facade reuse.
+"""Result cache: canonical scenario digests and LRU semantics.
 
 The digest contract: two scenario specs that induce the same per-input
 CPDs must collide regardless of surface form (dict key order, float
@@ -14,7 +14,7 @@ import pytest
 
 from repro.bayesian.cpd import TabularCPD
 from repro.circuits import suite
-from repro.core.backend import estimate, estimate_many
+from repro.core.backend import estimate
 from repro.core.inputs import CorrelatedGroupInputs, IndependentInputs
 from repro.core.rcache import (
     ResultCache,
@@ -145,61 +145,3 @@ class TestResultCacheLRU:
     def test_rejects_zero_capacity(self):
         with pytest.raises(ValueError):
             ResultCache(max_entries=0)
-
-
-class TestFacadeResultCache:
-    def test_estimate_replays_bitwise(self, c17):
-        cache = ResultCache()
-        model = IndependentInputs(0.3)
-        first = estimate(c17, model, backend="junction-tree", cache=None,
-                         result_cache=cache)
-        second = estimate(c17, IndependentInputs(0.3), backend="junction-tree",
-                          cache=None, result_cache=cache)
-        assert first.result_cache_hit is False
-        assert second.result_cache_hit is True
-        for line, dist in first.distributions.items():
-            assert np.array_equal(second.distributions[line], dist)
-
-    def test_no_cache_leaves_flag_unset(self, c17):
-        result = estimate(c17, IndependentInputs(0.3),
-                          backend="junction-tree", cache=None)
-        assert result.result_cache_hit is None
-
-    def test_options_change_the_fingerprint(self, c17):
-        cache = ResultCache()
-        model = IndependentInputs(0.3)
-        estimate(c17, model, backend="junction-tree", cache=None,
-                 result_cache=cache, kernel="dense")
-        other = estimate(c17, model, backend="junction-tree", cache=None,
-                         result_cache=cache, kernel="sparse")
-        # Same scenario, different compile options: distinct entries.
-        assert other.result_cache_hit is False
-        assert cache.stats()["entries"] == 2
-
-    def test_estimate_many_propagates_only_misses(self, c17):
-        cache = ResultCache()
-        sweep_a = [IndependentInputs(0.2), IndependentInputs(0.4)]
-        first = estimate_many(c17, sweep_a, backend="junction-tree",
-                              cache=None, result_cache=cache)
-        assert [r.result_cache_hit for r in first] == [False, False]
-        sweep_b = [IndependentInputs(0.4), IndependentInputs(0.6)]
-        second = estimate_many(c17, sweep_b, backend="junction-tree",
-                               cache=None, result_cache=cache)
-        assert [r.result_cache_hit for r in second] == [True, False]
-        # The replayed scenario is bitwise-equal to its original result.
-        for line, dist in first[1].distributions.items():
-            assert np.array_equal(second[0].distributions[line], dist)
-        # And the fresh oracle agrees with every returned scenario.
-        oracle = estimate_many(c17, sweep_b, backend="junction-tree",
-                               cache=None)
-        for got, expect in zip(second, oracle):
-            for line, dist in expect.distributions.items():
-                assert np.array_equal(got.distributions[line], dist)
-
-    def test_true_spec_builds_private_cache(self, c17):
-        # result_cache=True is valid but private to the call: no hits
-        # across calls, no error either.
-        result = estimate(c17, IndependentInputs(0.3),
-                          backend="junction-tree", cache=None,
-                          result_cache=True)
-        assert result.result_cache_hit is False

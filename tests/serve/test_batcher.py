@@ -118,126 +118,6 @@ class TestCoalescing:
         assert batcher.stats.mean_batch_size() > 0
 
 
-class TestSingleFlightDedup:
-    def test_parked_duplicates_share_one_slot(self):
-        """Identical parked scenarios run once and fan out one result."""
-        release = threading.Event()
-        calls = []
-
-        def run_batch(key, items):
-            if items == ["plug"]:
-                release.wait(timeout=10.0)
-            calls.append(list(items))
-            return list(items)
-
-        batcher = DynamicBatcher(
-            run_batch, max_batch=8, linger_seconds=0.0, workers=1
-        )
-        try:
-            plug = batcher.submit("k", "plug")  # occupies the lone worker
-            time.sleep(0.05)
-            futures = [
-                batcher.submit("k", "same", dedup_key="digest-a")
-                for _ in range(4)
-            ]
-            other = batcher.submit("k", "other", dedup_key="digest-b")
-            release.set()
-            assert [f.result(timeout=5.0) for f in futures] == ["same"] * 4
-            assert other.result(timeout=5.0) == "other"
-            plug.result(timeout=5.0)
-        finally:
-            batcher.close()
-        sizes = [len(items) for items in calls if items != ["plug"]]
-        # Four duplicate submissions collapsed onto one slot: the batch
-        # carried two items ("same" once, "other" once), not five.
-        assert sum(sizes) == 2
-        assert batcher.stats.deduped == 3
-        assert batcher.stats.items == 3  # plug + 2 slots
-
-    def test_no_dedup_without_key(self):
-        release = threading.Event()
-        calls = []
-
-        def run_batch(key, items):
-            if items == ["plug"]:
-                release.wait(timeout=10.0)
-            calls.append(list(items))
-            return list(items)
-
-        batcher = DynamicBatcher(
-            run_batch, max_batch=8, linger_seconds=0.0, workers=1
-        )
-        try:
-            plug = batcher.submit("k", "plug")
-            time.sleep(0.05)
-            futures = [batcher.submit("k", "same") for _ in range(3)]
-            release.set()
-            assert [f.result(timeout=5.0) for f in futures] == ["same"] * 3
-            plug.result(timeout=5.0)
-        finally:
-            batcher.close()
-        sizes = [len(items) for items in calls if items != ["plug"]]
-        assert sum(sizes) == 3  # identical payloads, but no key: no merge
-        assert batcher.stats.deduped == 0
-
-    def test_dedup_keys_do_not_cross_lanes(self):
-        """A parked slot in lane "a" must not absorb lane "b" traffic."""
-        release = threading.Event()
-        calls = []
-
-        def run_batch(key, items):
-            if items == ["plug"]:
-                release.wait(timeout=10.0)
-            calls.append((key, list(items)))
-            return [(key, item) for item in items]
-
-        batcher = DynamicBatcher(
-            run_batch, max_batch=8, linger_seconds=0.0, workers=1
-        )
-        try:
-            plug = batcher.submit("a", "plug")
-            time.sleep(0.05)
-            fa = batcher.submit("a", "x", dedup_key="digest")
-            fb = batcher.submit("b", "x", dedup_key="digest")
-            release.set()
-            assert fa.result(timeout=5.0) == ("a", "x")
-            assert fb.result(timeout=5.0) == ("b", "x")
-            plug.result(timeout=5.0)
-        finally:
-            batcher.close()
-        assert batcher.stats.deduped == 0
-
-    def test_dedup_failure_fans_out_to_every_waiter(self):
-        class Boom(RuntimeError):
-            pass
-
-        release = threading.Event()
-
-        def run_batch(key, items):
-            if items == ["plug"]:
-                release.wait(timeout=10.0)
-                return list(items)
-            raise Boom("bad batch")
-
-        batcher = DynamicBatcher(
-            run_batch, max_batch=8, linger_seconds=0.0, workers=1
-        )
-        try:
-            plug = batcher.submit("k", "plug")
-            time.sleep(0.05)
-            futures = [
-                batcher.submit("k", "same", dedup_key="digest")
-                for _ in range(3)
-            ]
-            release.set()
-            plug.result(timeout=5.0)
-            for future in futures:
-                with pytest.raises(Boom):
-                    future.result(timeout=5.0)
-        finally:
-            batcher.close()
-
-
 class TestFailureSemantics:
     def test_exception_fails_every_future_in_batch(self):
         class Boom(RuntimeError):

@@ -7,6 +7,7 @@ floats, which round-trip float64 exactly).
 """
 
 import socket
+from concurrent.futures import ThreadPoolExecutor
 from urllib.parse import urlsplit
 
 import numpy as np
@@ -134,20 +135,26 @@ class TestContentLength:
     """A bad ``Content-Length`` is a typed 400, never a 500 or a hang."""
 
     @staticmethod
-    def _post_raw(server, length: str) -> bytes:
+    def _post_raw(server, length: str, body: bytes = b"") -> bytes:
         url = urlsplit(server.address)
         with socket.create_connection((url.hostname, url.port), timeout=10) as sock:
             sock.sendall(
                 b"POST /estimate HTTP/1.1\r\nHost: test\r\n"
                 b"Content-Type: application/json\r\n"
                 + f"Content-Length: {length}\r\n\r\n".encode()
+                + body
             )
             # The server closes the connection after the error, so
             # reading to EOF returns the whole response; a server that
             # waited for a body would trip the socket timeout instead.
+            # Closing with the short body unread may reset the
+            # connection once the response is through.
             chunks = []
             while True:
-                chunk = sock.recv(65536)
+                try:
+                    chunk = sock.recv(65536)
+                except ConnectionResetError:
+                    chunk = b""
                 if not chunk:
                     return b"".join(chunks)
                 chunks.append(chunk)
@@ -158,6 +165,94 @@ class TestContentLength:
         status_line, _, rest = response.partition(b"\r\n")
         assert status_line.split()[1] == b"400"
         assert b"ReproError" in rest and b"Content-Length" in rest
+
+    def test_oversized_content_length_is_413(self, server):
+        response = self._post_raw(server, "2147483648", body=b"{}")
+        status_line, _, rest = response.partition(b"\r\n")
+        assert status_line.split()[1] == b"413"
+        assert b"BodyTooLarge" in rest
+
+
+class TestScenarioReuse:
+    """The result cache across requests, ``query_many`` dedup within a
+    batch: both return exactly the bytes a fresh propagation would."""
+
+    @staticmethod
+    def _assert_bitwise(response, spec, **options):
+        expect = estimate(
+            suite.load_circuit("c17"), input_model_from_spec(spec),
+            backend="auto", cache=None, **options,
+        )
+        assert response["mean_activity"] == float(expect.mean_activity())
+        for line, activity in expect.activities.items():
+            assert response["activities"][line] == float(activity)
+        for line, dist in expect.distributions.items():
+            assert np.array_equal(np.asarray(response["distributions"][line]), dist)
+
+    def test_estimate_many_partial_hits(self, client):
+        stored = {"kind": "independent", "p_one": 0.21}
+        fresh = {"kind": "temporal", "p_one": 0.4, "activity": 0.33}
+        assert client.estimate("c17", stored)["result_cache_hit"] is False
+        response = client._request("POST", "/estimate_many", {
+            "circuit": "c17", "scenarios": [stored, fresh],
+            "detail": "distributions",
+        })
+        results = response["results"]
+        assert [r["result_cache_hit"] for r in results] == [True, False]
+        for result, spec in zip(results, [stored, fresh]):
+            self._assert_bitwise(result, spec)
+
+    def test_options_change_the_key(self, server, client):
+        spec = {"kind": "independent", "p_one": 0.23}
+        before = server.rcache.stats()["entries"]
+        dense = client.estimate("c17", spec, options={"kernel": "dense"},
+                                detail="distributions")
+        sparse = client.estimate("c17", spec, options={"kernel": "sparse"},
+                                 detail="distributions")
+        assert dense["result_cache_hit"] is False
+        assert sparse["result_cache_hit"] is False
+        assert server.rcache.stats()["entries"] == before + 2
+        self._assert_bitwise(dense, spec, kernel="dense")
+        self._assert_bitwise(sparse, spec, kernel="sparse")
+
+    def test_concurrent_identical_misses_share_one_propagation(self):
+        n = 4
+        spec = {"kind": "independent", "p_one": 0.29}
+        config = ServerConfig(port=0, cache=None, max_batch=n,
+                              linger_ms=10_000.0, workers=1)
+        with EstimationServer(config) as live:
+            live_client = ServeClient(live.address, timeout=30.0)
+            # Compile outside the measured batch; n distinct scenarios
+            # fill a batch, so the warm-up never waits out the linger.
+            live_client.estimate_many("c17", [scenario_spec(i) for i in range(n)])
+            before = live_client.metrics()["meta"]["batcher"]
+            with ThreadPoolExecutor(max_workers=n) as executor:
+                responses = list(executor.map(
+                    lambda _: live_client.estimate("c17", spec, detail="distributions"),
+                    range(n),
+                ))
+            after = live_client.metrics()["meta"]["batcher"]
+        assert after["batches"] - before["batches"] == 1
+        assert after["full_batches"] - before["full_batches"] == 1
+        assert after["items"] - before["items"] == n
+        assert after["deduped"] - before["deduped"] == n - 1
+        assert all(r == responses[0] for r in responses)
+        self._assert_bitwise(responses[0], spec)
+
+    @pytest.mark.parametrize("spec", [
+        {"kind": "independent", "p_one": 1.5},
+        {"kind": "temporal", "p_one": 0.5, "activity": 2.0},
+        {"kind": "trace", "trace": [[0, 1], [1, 1]], "input_names": ["a", "b"]},
+        {"kind": "correlated", "groups": [["1", "2"]], "rho": 0.5,
+         "base_p_one": -0.2},
+        {"kind": "no-such-kind"},
+    ], ids=["independent", "temporal", "trace", "correlated", "unknown"])
+    def test_malformed_spec_is_400_before_compile(self, server, client, spec):
+        resident = server.pool.stats()["resident"]
+        with pytest.raises(ServeRequestError) as excinfo:
+            client.estimate("pcler8", spec)
+        assert excinfo.value.status == 400
+        assert server.pool.stats()["resident"] == resident
 
 
 class TestMetrics:

@@ -115,12 +115,11 @@ def test_stress_cached_bitwise_vs_single_threaded(tmp_path, oracle):
     """Cache-on variant: repeated scenarios under concurrency.
 
     Every request is issued three times, so most of them resolve from
-    the result cache or join an in-flight duplicate's batch slot --
+    the result cache or share a batch with an in-flight duplicate --
     the replayed marginals must still be bitwise-equal to the
     single-threaded fresh-compile oracle.  ``batch_stats.items`` is
     *not* asserted against the request count here: cache hits never
-    reach the batcher, and single-flight dedup makes joined requests
-    share one slot.
+    reach the batcher.
     """
     config = ServerConfig(
         port=0,

@@ -162,6 +162,17 @@ class TestErrorHandling:
         assert main(["stats", "--circuit", "nonesuch"]) == 1
         assert "repro: error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [
+        ["--result-cache-entries", "-1"],
+        ["--no-result-cache"],
+    ])
+    def test_serve_rejects_bad_result_cache_flags(self, capsys, flags):
+        # argparse exits before a server is built or a port is bound.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--port", "0", *flags])
+        assert excinfo.value.code == 2
+        assert "result-cache" in capsys.readouterr().err
+
 
 def test_estimate_accepts_bench_path(capsys, tmp_path):
     bench = tmp_path / "mini.bench"
