@@ -118,6 +118,56 @@ class TestCoalescing:
         assert batcher.stats.mean_batch_size() > 0
 
 
+class TestSingleFlightDedup:
+    def test_parked_duplicates_share_one_slot(self):
+        """Identical parked scenarios ride one batch and each get a result.
+
+        The batcher itself keeps one future per item; duplicate
+        suppression belongs to ``run_batch`` (the server's
+        ``query_many`` propagates one row per distinct digest).  The
+        batcher's part is to hand every parked duplicate to that one
+        ``run_batch`` call, so the scenario is computed once.
+        """
+        started = threading.Event()
+        release = threading.Event()
+        calls = []
+        computed = []
+
+        def run_batch(key, items):
+            if items == ["plug"]:
+                started.set()
+                release.wait(timeout=10.0)
+                return list(items)
+            calls.append(list(items))
+            results = {}
+            for item in items:
+                if item not in results:
+                    computed.append(item)
+                    results[item] = item.upper()
+            return [results[item] for item in items]
+
+        batcher = DynamicBatcher(
+            run_batch, max_batch=8, linger_seconds=0.0, workers=1
+        )
+        try:
+            plug = batcher.submit("k", "plug")  # occupies the lone worker
+            assert started.wait(timeout=5.0)
+            futures = [batcher.submit("k", "same") for _ in range(4)]
+            other = batcher.submit("k", "other")
+            release.set()
+            assert [f.result(timeout=5.0) for f in futures] == ["SAME"] * 4
+            assert other.result(timeout=5.0) == "OTHER"
+            plug.result(timeout=5.0)
+        finally:
+            batcher.close()
+        # All five parked items reached a single run_batch call, which
+        # computed each distinct scenario once.
+        assert calls == [["same"] * 4 + ["other"]]
+        assert computed == ["same", "other"]
+        assert batcher.stats.items == 6  # plug + 5 parked items
+        assert batcher.stats.batches == 2
+
+
 class TestFailureSemantics:
     def test_exception_fails_every_future_in_batch(self):
         class Boom(RuntimeError):
